@@ -1,6 +1,7 @@
 """Command-line entry points: run one scenario, sweep an axis, or validate.
 
-Exit codes: 0 success, 1 scenario validation/parse error, 2 runtime failure.
+Exit codes: 0 success, 1 scenario validation/parse error (or a malformed
+MANET_LAB_JOBS), 2 runtime failure, including a sweep with any failed cell.
 """
 
 import argparse
@@ -103,7 +104,7 @@ def _cmd_sweep(args) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         write_csv(rows, args.out / "results.csv")
         (args.out / "results.txt").write_text(table_text)
-    return 0
+    return 2 if failures else 0
 
 
 def _cmd_validate(args) -> int:

@@ -59,8 +59,8 @@ class Engine:
         self.radio = Radio(
             RadioConfig(scenario.radio_range, scenario.bandwidth_bps,
                         scenario.processing_delay_s, scenario.jitter_max_s),
-            self.position_at_time, self.sim, self.metrics, self.rng_jitter,
-            scenario.n_nodes)
+            self.position_at_time, self.coords_at, self.sim, self.metrics,
+            self.rng_jitter)
         self._uids = itertools.count()
         self.protocols = [self._make_protocol(i) for i in range(scenario.n_nodes)]
         self.flood_log: list[tuple[int, int, SimTime]] = []
@@ -71,6 +71,9 @@ class Engine:
         self.position_samples: list[tuple[int, float, float, float]] = []
         self._pos_cache_t: SimTime = -1
         self._pos_cache: dict[int, Position] = {}
+        self._coords_t: SimTime = -1
+        self._xs = [0.0] * len(self.traces)
+        self._ys = [0.0] * len(self.traces)
 
     def _make_protocol(self, node: int):
         proto = self.scenario.protocol
@@ -101,6 +104,20 @@ class Engine:
             pos = position_at(self.traces[node], t)
             self._pos_cache[node] = pos
         return pos
+
+    def coords_at(self, t: SimTime) -> tuple[list[float], list[float]]:
+        """Every node's coordinates at t as flat x and y lists indexed by node.
+
+        Filled once per instant, so all broadcasts at one instant share one
+        snapshot. Single-node queries stay with `position_at_time`: a
+        unicast needs two nodes, not all of them.
+        """
+        if t != self._coords_t:
+            xs, ys = self._xs, self._ys
+            for node, trace in enumerate(self.traces):
+                xs[node], ys[node] = trace.coords_at(t)
+            self._coords_t = t
+        return self._xs, self._ys
 
     def position(self, node: int) -> Position:
         return self.position_at_time(node, self.sim.now)

@@ -2,7 +2,11 @@
 
 Traces are generated once per run and queried lazily at transmission times,
 which is exact for straight-line legs and keeps the event queue free of
-per-step movement events.
+per-step movement events. Simulation time only moves forward, so each trace
+keeps a cursor on the leg its last query fell on; a query outside that leg
+finds its leg by binary search. `WaypointTrace.coords_at` returns raw
+(x, y) floats for callers that fill flat coordinate lists, and
+`position_at` wraps the same computation in a `Position`.
 """
 
 from bisect import bisect_right
@@ -33,6 +37,35 @@ class WaypointTrace:
         self.duration = duration
         self.legs = legs
         self._departs = [leg.depart_at for leg in legs]
+        # Cursor: the fields of the leg the last query fell on, and the span
+        # [_lo, _hi) of times that leg answers. Empty until the first query.
+        self._cursor: tuple = ()
+        self._lo: SimTime = 0
+        self._hi: SimTime = 0
+
+    def coords_at(self, t: SimTime) -> tuple[float, float]:
+        """(x, y) at integer time t: linear on a leg, the endpoint during pauses."""
+        if not self._lo <= t < self._hi:
+            self._seek(t)
+        depart, arrive, sx, sy, ex, ey = self._cursor
+        if t >= arrive:
+            return ex, ey
+        frac = (t - depart) / (arrive - depart)
+        return sx + frac * (ex - sx), sy + frac * (ey - sy)
+
+    def _seek(self, t: SimTime) -> None:
+        """Point the cursor at the last leg departing at or before t."""
+        if t < 0 or t > self.duration:
+            raise OutOfTraceRange(f"t={t} outside [0, {self.duration}]")
+        departs = self._departs
+        idx = bisect_right(departs, t) - 1
+        if idx < 0:
+            idx = 0
+        leg = self.legs[idx]
+        self._cursor = (leg.depart_at, leg.arrive_at,
+                        leg.start.x, leg.start.y, leg.end.x, leg.end.y)
+        self._lo = departs[idx]
+        self._hi = departs[idx + 1] if idx + 1 < len(departs) else self.duration + 1
 
     def __eq__(self, other):
         return (isinstance(other, WaypointTrace)
@@ -77,14 +110,4 @@ def random_waypoint_trace(area_width: float, area_height: float, speed: float,
 
 def position_at(trace: WaypointTrace, t: SimTime) -> Position:
     """Position along the trace: linear on a leg, the endpoint during pauses."""
-    if t < 0 or t > trace.duration:
-        raise OutOfTraceRange(f"t={t} outside [0, {trace.duration}]")
-    idx = bisect_right(trace._departs, t) - 1
-    if idx < 0:
-        idx = 0
-    leg = trace.legs[idx]
-    if t >= leg.arrive_at:
-        return leg.end
-    frac = (t - leg.depart_at) / (leg.arrive_at - leg.depart_at)
-    return Position(leg.start.x + frac * (leg.end.x - leg.start.x),
-                    leg.start.y + frac * (leg.end.y - leg.start.y))
+    return Position(*trace.coords_at(t))

@@ -9,6 +9,7 @@ relies on). The verdict is decided by node positions at send time.
 
 from dataclasses import dataclass
 from enum import Enum
+from math import hypot
 
 from .core import EventKind, RngStream, SimTime, Simulator, us
 from .geometry import dist
@@ -35,16 +36,20 @@ class TxOutcome:
 
 
 class Radio:
-    """Broadcast/unicast primitives over the instantaneous connectivity graph."""
+    """Broadcast/unicast primitives over the instantaneous connectivity graph.
 
-    def __init__(self, config: RadioConfig, position_fn, sim: Simulator,
-                 metrics, jitter_rng: RngStream, n_nodes: int):
+    `position_fn(node, t)` gives one node's `Position`; `coords_fn(t)` gives
+    every node's coordinates as flat `(xs, ys)` lists indexed by node id.
+    """
+
+    def __init__(self, config: RadioConfig, position_fn, coords_fn,
+                 sim: Simulator, metrics, jitter_rng: RngStream):
         self.config = config
         self._position = position_fn
+        self._coords = coords_fn
         self._sim = sim
         self._metrics = metrics
         self._jitter = jitter_rng
-        self._n_nodes = n_nodes
         self._proc_us = us(config.processing_delay_s)
         self._jitter_us = us(config.jitter_max_s)
         self._delay_cache: dict[int, int] = {}
@@ -62,31 +67,30 @@ class Radio:
 
     def neighbors(self, node: int, t: SimTime) -> list[int]:
         """Node ids within radio range at time t, boundary inclusive, sorted."""
-        here = self._position(node, t)
+        xs, ys = self._coords(t)
+        hx = xs[node]
+        hy = ys[node]
         rng = self.config.range_m
-        out = []
-        for other in range(self._n_nodes):
-            if other == node:
-                continue
-            if dist(here, self._position(other, t)) <= rng:
-                out.append(other)
-        return out
+        # hypot(here - other) is exactly geometry.dist(here, other).
+        return [other for other, (x, y) in enumerate(zip(xs, ys))
+                if hypot(hx - x, hy - y) <= rng and other != node]
 
-    def _receive_time(self, t: SimTime, size_bytes: int) -> SimTime:
-        rt = t + self.tx_delay_us(size_bytes) + self._proc_us
-        if self._jitter_us > 0:
-            rt += us(self._jitter.uniform(0.0, self.config.jitter_max_s))
-        return rt
+    def _jitter_draw(self) -> SimTime:
+        return us(self._jitter.uniform(0.0, self.config.jitter_max_s))
 
     def broadcast(self, sender: int, pkt: Packet) -> list[tuple[int, SimTime]]:
         """Deliver a copy to every current neighbor; one transmission regardless."""
         t = self._sim.now
         self._metrics.record_transmission(pkt.kind, is_broadcast=True)
-        deliveries = []
-        for receiver in self.neighbors(sender, t):
-            rt = self._receive_time(t, pkt.size_bytes)
-            self._sim.schedule(rt, EventKind.PACKET_ARRIVAL, receiver, (clone(pkt), sender))
-            deliveries.append((receiver, rt))
+        rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
+        receivers = self.neighbors(sender, t)
+        if self._jitter_us > 0:
+            deliveries = [(r, rt + self._jitter_draw()) for r in receivers]
+        else:
+            deliveries = [(r, rt) for r in receivers]
+        schedule = self._sim.schedule
+        for receiver, at in deliveries:
+            schedule(at, EventKind.PACKET_ARRIVAL, receiver, (clone(pkt), sender))
         return deliveries
 
     def unicast(self, sender: int, next_hop: int, pkt: Packet) -> TxOutcome:
@@ -97,6 +101,8 @@ class Radio:
         there = self._position(next_hop, t)
         if dist(here, there) > self.config.range_m:
             return TxOutcome(TxStatus.LINK_FAILURE)
-        rt = self._receive_time(t, pkt.size_bytes)
+        rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
+        if self._jitter_us > 0:
+            rt += self._jitter_draw()
         self._sim.schedule(rt, EventKind.PACKET_ARRIVAL, next_hop, (clone(pkt), sender))
         return TxOutcome(TxStatus.DELIVERED, rt)

@@ -4,6 +4,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .core import us
 from .errors import ParseError, ValidationError
 
 PROTOCOLS = ("aodv", "gpsr", "crp", "gpsr_greedy_only")
@@ -132,6 +133,12 @@ def validate_scenario(sc: Scenario) -> None:
             raise ValidationError("must not be negative", field=fname)
     if sc.n_nodes < 2:
         raise ValidationError("need at least two nodes", field="n_nodes")
+    # Periods that round to 0 us would re-fire at the same instant forever.
+    if us(1.0 / sc.rate_pps) == 0:
+        raise ValidationError("packet interval 1/rate_pps rounds to 0 us",
+                              field="rate_pps")
+    if us(sc.hello_interval_s) == 0:
+        raise ValidationError("rounds to 0 us", field="hello_interval_s")
 
 
 def format_scenario(sc: Scenario, comment: bool = False) -> str:

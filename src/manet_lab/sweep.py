@@ -78,15 +78,20 @@ def _run_cell(sc: Scenario):
 
 
 def resolve_jobs(jobs: int | None) -> int:
+    """Worker count: `jobs` if given, else MANET_LAB_JOBS, else 1."""
     if jobs is not None:
         return max(1, jobs)
     env = os.environ.get("MANET_LAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValidationError(f"must be an integer >= 1, got {env!r}",
+                              field="MANET_LAB_JOBS")
+    return value
 
 
 def run_sweep(plan: SweepPlan, jobs: int | None = None

@@ -1,5 +1,7 @@
 """Entry-point behavior: exit codes, output files, and overrides."""
 
+import pytest
+
 from manet_lab.cli import main
 from manet_lab.metrics import MetricsRow
 
@@ -37,6 +39,23 @@ def test_validate_unknown_key_exits_1(tmp_path, capsys):
     path = write_scn(tmp_path, "warp_factor = 9\n")
     assert main(["validate", str(path)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("rate_pps = 3e6\n", "rate_pps"),
+    ("aodv_hello = on\nhello_interval_s = 1e-7\n", "hello_interval_s"),
+])
+def test_validate_zero_us_period_exits_1(tmp_path, capsys, monkeypatch, text, field):
+    import manet_lab.cli as cli_mod
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("validate must not start an engine")
+
+    monkeypatch.setattr(cli_mod, "Engine", no_engine)
+    monkeypatch.setattr(cli_mod, "run_one", no_engine)
+    path = write_scn(tmp_path, text)
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_run_prints_header_echo_and_row(tmp_path, capsys):
@@ -98,3 +117,34 @@ def test_sweep_writes_rows_and_table(tmp_path, capsys):
 
 def test_missing_file_is_runtime_failure(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.scn")]) == 2
+
+
+def test_sweep_with_failed_cell_exits_2(tmp_path, capsys, monkeypatch):
+    import manet_lab.sweep as sweep_mod
+
+    real = sweep_mod.run_one
+
+    def flaky(sc):
+        if sc.pause_s == 10.0:
+            raise RuntimeError("boom")
+        return real(sc)
+
+    monkeypatch.setattr(sweep_mod, "run_one", flaky)
+    path = write_scn(tmp_path, TINY)
+    out_dir = tmp_path / "sweep_out"
+    code = main(["sweep", str(path), "--axis", "pause", "--values", "0,10",
+                 "--jobs", "1", "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "cell failed:" in captured.err and "boom" in captured.err
+    rows = [l for l in captured.out.splitlines() if l.startswith("crp,")]
+    assert len(rows) == 1 and ",0.0," in rows[0]
+    assert "delivery_ratio" in captured.out and "pause=0.0" in captured.out
+    assert len((out_dir / "results.csv").read_text().splitlines()) == 2
+
+
+def test_malformed_jobs_variable_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MANET_LAB_JOBS", "two")
+    path = write_scn(tmp_path, TINY)
+    assert main(["sweep", str(path), "--axis", "pause", "--values", "0"]) == 1
+    assert "MANET_LAB_JOBS" in capsys.readouterr().err

@@ -1,12 +1,17 @@
 """Random-waypoint traces: coverage, interpolation, and area invariants."""
 
+import random
+from bisect import bisect_right
+
 import pytest
 
 from manet_lab.core import rng_stream, us
+from manet_lab.engine import Engine
 from manet_lab.errors import OutOfTraceRange
 from manet_lab.geometry import Position, dist
 from manet_lab.mobility import (Leg, WaypointTrace, position_at,
                                 random_waypoint_trace)
+from manet_lab.scenario import Scenario
 
 
 def test_pause_equals_duration_is_stationary():
@@ -106,3 +111,47 @@ def test_same_stream_reproduces_trace():
     a = random_waypoint_trace(1000, 1000, 20.0, 4.0, 200.0, rng_stream(77, "mobility"))
     b = random_waypoint_trace(1000, 1000, 20.0, 4.0, 200.0, rng_stream(77, "mobility"))
     assert a == b
+
+
+def bisect_position(trace: WaypointTrace, t: int) -> Position:
+    """Reference interpolation without a cursor: binary search on every call."""
+    idx = max(bisect_right([leg.depart_at for leg in trace.legs], t) - 1, 0)
+    leg = trace.legs[idx]
+    if t >= leg.arrive_at:
+        return leg.end
+    frac = (t - leg.depart_at) / (leg.arrive_at - leg.depart_at)
+    return Position(leg.start.x + frac * (leg.end.x - leg.start.x),
+                    leg.start.y + frac * (leg.end.y - leg.start.y))
+
+
+@pytest.mark.parametrize("pause_s", [0.0, 3.0])
+def test_snapshot_equals_position_at_exactly(pause_s):
+    # The per-instant coordinate snapshot and the leg cursor must reproduce
+    # the binary-search interpolation bit for bit, whatever order the
+    # queries come in: forwards, backwards, shuffled and repeated.
+    duration_s = 120.0
+    rng = rng_stream(11, "mobility")
+    traces = [random_waypoint_trace(1000, 1000, 20.0, pause_s, duration_s,
+                                    rng, node=i) for i in range(12)]
+    sc = Scenario(n_nodes=len(traces), duration_s=duration_s, pause_s=pause_s)
+    engine = Engine(sc, traces=traces, streams=[])
+    duration = traces[0].duration
+    instants = {0, duration}
+    for trace in traces:
+        for leg in trace.legs:
+            instants.update(t for t in (leg.depart_at, leg.arrive_at)
+                            if t <= duration)
+    picker = random.Random(5)
+    instants.update(picker.randrange(duration + 1) for _ in range(300))
+    forwards = sorted(instants)
+    shuffled = list(forwards)
+    picker.shuffle(shuffled)
+    order = forwards + forwards[::-1] + shuffled
+    order = [t for t in order for _ in (0, 1)]  # each query twice in a row
+    for t in order:
+        xs, ys = engine.coords_at(t)
+        for node, trace in enumerate(traces):
+            expected = bisect_position(trace, t)
+            assert (xs[node], ys[node]) == (expected.x, expected.y)
+            assert position_at(trace, t) == expected
+            assert engine.position_at_time(node, t) == expected

@@ -16,8 +16,10 @@ def build_radio(positions, config=None, seed=1):
     sim.handler = lambda ev: None
     metrics = RunMetrics()
     cfg = config or RadioConfig()
-    radio = Radio(cfg, lambda node, t: positions[node], sim, metrics,
-                  rng_stream(seed, "jitter"), n_nodes=len(positions))
+    xs = [positions[node].x for node in range(len(positions))]
+    ys = [positions[node].y for node in range(len(positions))]
+    radio = Radio(cfg, lambda node, t: positions[node], lambda t: (xs, ys),
+                  sim, metrics, rng_stream(seed, "jitter"))
     return radio, sim, metrics
 
 
@@ -50,6 +52,40 @@ def test_neighbor_symmetry_random():
     for u in positions:
         for v in radio.neighbors(u, 0):
             assert u in radio.neighbors(v, 0)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_neighbors_equal_brute_force_scan(n):
+    # Node 1 sits at exactly the range from node 0 (a 150-200-250 triangle).
+    import random
+    positions = random_positions(random.Random(n), n)
+    positions[0] = Position(300.0, 400.0)
+    positions[1] = Position(450.0, 600.0)
+    assert dist(positions[0], positions[1]) == 250.0
+    radio, _, _ = build_radio(positions)
+    for a in range(n):
+        expected = [b for b in range(n)
+                    if b != a and dist(positions[a], positions[b]) <= 250.0]
+        assert radio.neighbors(a, 0) == expected
+    assert 1 in radio.neighbors(0, 0) and 0 in radio.neighbors(1, 0)
+
+
+def test_engine_neighbors_match_brute_force_while_moving():
+    # Through the engine's per-instant snapshot, on a 100-node field that
+    # never pauses, against pairwise distances of lazily built positions.
+    import random
+    from manet_lab.engine import Engine
+    from manet_lab.mobility import position_at
+    from manet_lab.scenario import Scenario
+    sc = Scenario(n_nodes=100, duration_s=20.0, pause_s=0.0, seed=7)
+    engine = Engine(sc)
+    picker = random.Random(7)
+    for t in sorted(picker.randrange(engine.duration + 1) for _ in range(10)):
+        here = [position_at(trace, t) for trace in engine.traces]
+        for a in range(sc.n_nodes):
+            expected = [b for b in range(sc.n_nodes)
+                        if b != a and dist(here[a], here[b]) <= sc.radio_range]
+            assert engine.radio.neighbors(a, t) == expected
 
 
 def test_tx_delay_values():
@@ -122,10 +158,13 @@ def test_mobile_receiver_outcome_decided_at_send_time():
             return Position(0, 0)
         return Position(249.0 + t / us(1.0), 0)  # +1 m per second
 
+    def moving_coords(t):
+        return [moving(n, t).x for n in (0, 1)], [moving(n, t).y for n in (0, 1)]
+
     sim = Simulator()
     sim.handler = lambda ev: None
-    radio = Radio(RadioConfig(), moving, sim, RunMetrics(),
-                  rng_stream(1, "jitter"), n_nodes=2)
+    radio = Radio(RadioConfig(), moving, moving_coords, sim, RunMetrics(),
+                  rng_stream(1, "jitter"))
     assert radio.unicast(0, 1, data_packet()).status is TxStatus.DELIVERED
     sim.run_until(us(0.5))
     assert dist(moving(1, sim.now), moving(0, sim.now)) < 250

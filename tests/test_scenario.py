@@ -93,3 +93,17 @@ def test_comments_and_blank_lines_ignored():
 def test_format_round_trips_through_parser():
     sc = Scenario(protocol="crp", seed=123, rate_pps=8.0, aodv_hello=True)
     assert parse_scenario(format_scenario(sc)) == sc
+
+
+def test_periods_rounding_to_zero_us_rejected():
+    # A 0 us stream or hello period would re-fire at one instant forever.
+    # us() rounds half to even, so every rate_pps >= 2e6 gives 0 us.
+    for text, field in (("rate_pps = 3e6\n", "rate_pps"),
+                        ("rate_pps = 2e6\n", "rate_pps"),
+                        ("aodv_hello = on\nhello_interval_s = 1e-7\n",
+                         "hello_interval_s")):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert err.value.field == field
+    assert parse_scenario("rate_pps = 1999999\n").rate_pps == 1999999.0
+    assert parse_scenario("hello_interval_s = 1e-6\n").hello_interval_s == 1e-6

@@ -7,7 +7,7 @@ from manet_lab.errors import ValidationError
 from manet_lab.metrics import MetricsRow
 from manet_lab.scenario import Scenario
 from manet_lab.sweep import (SweepPlan, aggregate, plan_cells, read_csv,
-                             render_table, run_sweep, write_csv)
+                             render_table, resolve_jobs, run_sweep, write_csv)
 
 BASE = Scenario(n_nodes=10, duration_s=10.0, n_streams=3, seed=5)
 
@@ -122,6 +122,19 @@ def test_parallel_jobs_match_serial():
     serial_rows, _ = run_sweep(plan, jobs=1)
     parallel_rows, _ = run_sweep(plan, jobs=2)
     assert serial_rows == parallel_rows
+
+
+def test_resolve_jobs_reads_and_checks_environment(monkeypatch):
+    monkeypatch.delenv("MANET_LAB_JOBS", raising=False)
+    assert resolve_jobs(None) == 1
+    monkeypatch.setenv("MANET_LAB_JOBS", "3")
+    assert resolve_jobs(None) == 3
+    assert resolve_jobs(2) == 2  # an explicit count wins
+    for bad in ("two", "1.5", "0", "-4"):
+        monkeypatch.setenv("MANET_LAB_JOBS", bad)
+        with pytest.raises(ValidationError) as err:
+            resolve_jobs(None)
+        assert err.value.field == "MANET_LAB_JOBS"
 
 
 def test_emit_formats(tmp_path):

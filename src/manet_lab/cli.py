@@ -1,7 +1,8 @@
 """Command-line entry points: run one scenario, sweep an axis, or validate.
 
-Exit codes: 0 success, 1 scenario validation/parse error (or a malformed
-MANET_LAB_JOBS), 2 runtime failure, including a sweep with any failed cell.
+Exit codes: 0 success, 1 scenario validation/parse error (or a --jobs below 1,
+or a MANET_LAB_JOBS that is not an integer >= 1), 2 runtime failure, including
+a sweep with any failed cell.
 """
 
 import argparse
@@ -9,11 +10,13 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from .core import US_PER_S, to_seconds
 from .engine import Engine, run_one
 from .errors import ParseError, ValidationError
 from .metrics import MetricsRow
+from .mobility import position_at
 from .scenario import Scenario, format_scenario, load_scenario, validate_scenario
-from .sweep import SweepPlan, render_table, aggregate, run_sweep, write_csv
+from .sweep import SweepPlan, aggregate, emit, render_table, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,19 +70,21 @@ def _cmd_run(args) -> int:
     sc = _load(args.scenario, args.seed, args.protocol)
     print(format_scenario(sc, comment=True))
     if args.dump_traces is not None:
-        engine = Engine(sc, checkpoint_interval_s=1.0)
+        engine = Engine(sc)
         row = engine.run()
+        # Positions are a pure function of the traces: sample them afterwards.
         lines = ["node,t,x,y"]
-        lines += [f"{n},{t:.1f},{x:.3f},{y:.3f}"
-                  for n, t, x, y in engine.position_samples]
+        for t in range(0, engine.duration + 1, US_PER_S):
+            for n, trace in enumerate(engine.traces):
+                pos = position_at(trace, t)
+                lines.append(f"{n},{to_seconds(t):.1f},{pos.x:.3f},{pos.y:.3f}")
         args.dump_traces.write_text("\n".join(lines) + "\n")
     else:
         row = run_one(sc)
     print(MetricsRow.csv_header())
     print(row.to_csv_row())
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_csv([row], args.out / "results.csv")
+        emit([row], "csv", args.out)
     return 0
 
 
@@ -94,16 +99,14 @@ def _cmd_sweep(args) -> int:
     rows, failures = run_sweep(plan, jobs=args.jobs)
     for failure in failures:
         print(f"cell failed: {failure}", file=sys.stderr)
-    table_text = render_table(aggregate(rows))
     print(MetricsRow.csv_header())
     for row in rows:
         print(row.to_csv_row())
     print()
-    print(table_text)
+    print(render_table(aggregate(rows)))
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_csv(rows, args.out / "results.csv")
-        (args.out / "results.txt").write_text(table_text)
+        emit(rows, "csv", args.out)
+        emit(rows, "table", args.out)
     return 2 if failures else 0
 
 

@@ -34,7 +34,6 @@ class EventKind(Enum):
     TIMER_EXPIRY = "timer_expiry"
     TRAFFIC_EMIT = "traffic_emit"
     BEACON_TICK = "beacon_tick"
-    MOBILITY_CHECKPOINT = "mobility_checkpoint"
 
 
 @dataclass
@@ -105,6 +104,7 @@ class RngStream(random.Random):
     knob (say, jitter) never perturbs draws consumed elsewhere.
     """
 
+    # Random ignores a seed given to __new__; __init__ below seeds the stream.
     def __new__(cls, seed: int, label: str):
         return super().__new__(cls, _derive_seed(seed, label))
 

@@ -16,7 +16,7 @@ because greedy mode cannot work without neighbor coordinates.
 from .aodv import ReactiveCore, RouteEntry
 from .gpsr import BeaconMixin, greedy_next_hop
 from .metrics import DropCause
-from .packets import AodvHeader, CrpHeader, CrpMode, Packet, PacketKind
+from .packets import GeoHeader, GeoMode, Packet, PacketKind
 from .radio import TxStatus
 
 
@@ -43,8 +43,7 @@ class CrpNode(BeaconMixin):
         if pkt.final_dst == self.node:
             self.engine.deliver(self.node, pkt)
             return
-        pkt.crp = CrpHeader(mode=CrpMode.GEO_GREEDY,
-                            dst_pos=self.engine.dst_position(pkt.final_dst))
+        pkt.geo = GeoHeader(dst_pos=self.engine.dst_position(pkt.final_dst))
         self.forward(pkt)
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
@@ -67,8 +66,7 @@ class CrpNode(BeaconMixin):
         if pkt.ttl < 1:
             engine.drop(pkt, DropCause.TTL)
             return
-        h = pkt.crp
-        if h.mode is CrpMode.GEO_GREEDY:
+        if pkt.geo.mode is GeoMode.GREEDY:
             self._forward_greedy(pkt)
         else:
             entry = self.core.table.lookup_active(pkt.final_dst, engine.now)
@@ -85,7 +83,7 @@ class CrpNode(BeaconMixin):
     def _forward_greedy(self, pkt: Packet) -> None:
         engine = self.engine
         self_pos = engine.position(self.node)
-        dst_pos = pkt.crp.dst_pos
+        dst_pos = pkt.geo.dst_pos
         for attempt in (0, 1):  # one retry after a link failure
             neighbors = self.nbrs.fresh(engine.now)
             nh = greedy_next_hop(self_pos, neighbors, dst_pos)
@@ -105,8 +103,6 @@ class CrpNode(BeaconMixin):
     def _forward_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
         engine = self.engine
         pkt.ttl -= 1
-        if pkt.crp.aodv is not None:
-            pkt.crp.aodv.hop_count += 1
         self.core.table.refresh(entry, engine.now)
         outcome = engine.unicast(self.node, entry.next_hop, pkt)
         if outcome.status is TxStatus.DELIVERED:
@@ -124,21 +120,18 @@ class CrpNode(BeaconMixin):
         if self.escape_cache_enabled:
             entry = self.core.table.lookup_active(pkt.final_dst, engine.now)
             if entry is not None:
-                self._switch_to_route(pkt, entry)
+                self._switch_to_route(pkt)
                 self._forward_on_route(pkt, entry)
                 return
         self.core.buffer_and_discover(pkt.final_dst, pkt)
 
-    def _switch_to_route(self, pkt: Packet, entry: RouteEntry) -> None:
-        h = pkt.crp
-        h.mode = CrpMode.AODV_ROUTE
-        h.aodv = AodvHeader(rreq_id=0, origin_seq=self.core.seq,
-                            dst_seq=entry.dst_seq, hop_count=0)
+    def _switch_to_route(self, pkt: Packet) -> None:
+        pkt.geo.mode = GeoMode.ROUTE
 
     # -- ReactiveCore owner hooks ----------------------------------------
 
     def send_buffered(self, pkt: Packet, entry: RouteEntry) -> None:
-        self._switch_to_route(pkt, entry)
+        self._switch_to_route(pkt)
         self._forward_on_route(pkt, entry)
 
     def on_control_link_failure(self, next_hop: int, pkt: Packet) -> None:

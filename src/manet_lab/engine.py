@@ -42,7 +42,7 @@ def build_streams(sc: Scenario) -> list[CbrStream]:
 class Engine:
     def __init__(self, scenario: Scenario, *, traces: list[WaypointTrace] | None = None,
                  streams: list[CbrStream] | None = None, record_hops: bool = False,
-                 record_log: bool = False, checkpoint_interval_s: float | None = None):
+                 record_log: bool = False):
         self.scenario = scenario
         self.sim = Simulator()
         self.sim.handler = self._dispatch
@@ -66,9 +66,6 @@ class Engine:
         self.flood_log: list[tuple[int, int, SimTime]] = []
         self.hop_log: dict[int, list[tuple[int, SimTime, str]]] | None = \
             {} if record_hops else None
-        self._checkpoint_gap = (us(checkpoint_interval_s)
-                                if checkpoint_interval_s else None)
-        self.position_samples: list[tuple[int, float, float, float]] = []
         self._pos_cache_t: SimTime = -1
         self._pos_cache: dict[int, Position] = {}
         self._coords_t: SimTime = -1
@@ -176,8 +173,6 @@ class Engine:
             self._emit(ev.payload)
         elif kind is EventKind.BEACON_TICK:
             self.protocols[ev.target].on_beacon_tick()
-        elif kind is EventKind.MOBILITY_CHECKPOINT:
-            self._checkpoint()
 
     def _emit(self, stream_idx: int) -> None:
         s = self.streams[stream_idx]
@@ -194,15 +189,6 @@ class Engine:
         if nxt <= s.stop_at:
             self.sim.schedule(nxt, EventKind.TRAFFIC_EMIT, s.src, stream_idx)
 
-    def _checkpoint(self) -> None:
-        t = self.sim.now
-        for node in range(self.scenario.n_nodes):
-            pos = self.position_at_time(node, t)
-            self.position_samples.append((node, t / 1e6, pos.x, pos.y))
-        nxt = t + self._checkpoint_gap
-        if nxt <= self.duration:
-            self.sim.schedule(nxt, EventKind.MOBILITY_CHECKPOINT, None)
-
     # -- run ----------------------------------------------------------------
 
     def run(self) -> MetricsRow:
@@ -213,8 +199,6 @@ class Engine:
                 if s.start_at <= self.duration:
                     self.sim.schedule(s.start_at, EventKind.TRAFFIC_EMIT,
                                       s.src, idx)
-            if self._checkpoint_gap:
-                self.sim.schedule(0, EventKind.MOBILITY_CHECKPOINT, None)
         self.sim.run_until(self.duration)
         sc = self.scenario
         return self.metrics.finalize(

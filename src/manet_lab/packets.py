@@ -18,12 +18,8 @@ class PacketKind(Enum):
 
 class GeoMode(Enum):
     GREEDY = "greedy"
-    PERIMETER = "perimeter"
-
-
-class CrpMode(Enum):
-    GEO_GREEDY = "geo_greedy"
-    AODV_ROUTE = "aodv_route"
+    PERIMETER = "perimeter"  # gpsr: walking the face around a void
+    ROUTE = "route"          # crp: riding a discovered escape route
 
 
 @dataclass
@@ -43,13 +39,6 @@ class GeoHeader:
 
 
 @dataclass
-class CrpHeader:
-    mode: CrpMode
-    dst_pos: Position
-    aodv: AodvHeader | None = None  # set while the packet rides a discovered route
-
-
-@dataclass
 class Packet:
     uid: int
     kind: PacketKind
@@ -60,7 +49,6 @@ class Packet:
     size_bytes: int
     aodv: AodvHeader | None = None
     geo: GeoHeader | None = None
-    crp: CrpHeader | None = None
     src_pos: Position | None = None  # beacon payload: advertised sender position
     rerr_dsts: tuple[tuple[int, int], ...] | None = None  # (dst, seq) pairs
 
@@ -73,15 +61,9 @@ def clone(pkt: Packet) -> Packet:
     """
     a = pkt.aodv
     g = pkt.geo
-    c = pkt.crp
     if a is not None:
         a = AodvHeader(a.rreq_id, a.origin_seq, a.dst_seq, a.hop_count)
     if g is not None:
         g = GeoHeader(g.dst_pos, g.mode, g.loc_entry, g.first_edge)
-    if c is not None:
-        ca = c.aodv
-        if ca is not None:
-            ca = AodvHeader(ca.rreq_id, ca.origin_seq, ca.dst_seq, ca.hop_count)
-        c = CrpHeader(c.mode, c.dst_pos, ca)
     return Packet(pkt.uid, pkt.kind, pkt.origin, pkt.final_dst, pkt.created_at,
-                  pkt.ttl, pkt.size_bytes, a, g, c, pkt.src_pos, pkt.rerr_dsts)
+                  pkt.ttl, pkt.size_bytes, a, g, pkt.src_pos, pkt.rerr_dsts)

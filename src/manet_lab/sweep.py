@@ -80,7 +80,9 @@ def _run_cell(sc: Scenario):
 def resolve_jobs(jobs: int | None) -> int:
     """Worker count: `jobs` if given, else MANET_LAB_JOBS, else 1."""
     if jobs is not None:
-        return max(1, jobs)
+        if jobs < 1:
+            raise ValidationError(f"must be >= 1, got {jobs}", field="jobs")
+        return jobs
     env = os.environ.get("MANET_LAB_JOBS")
     if not env:
         return 1
@@ -173,7 +175,8 @@ def aggregate(rows: list[MetricsRow]) -> dict:
 def render_table(table: dict) -> str:
     """Aligned text: one block per metric, rows = scenario cells,
     columns = protocols. delivery_ratio is the count ratio also known
-    as throughput."""
+    as throughput. The last block gives the replications behind each
+    mean, so a failed run shows as a smaller n."""
     cells = sorted({k[0] for k in table})
     protocols = sorted({k[1] for k in table},
                        key=lambda p: PROTOCOLS.index(p) if p in PROTOCOLS else 99)
@@ -182,6 +185,7 @@ def render_table(table: dict) -> str:
         ("delivery_ratio (throughput)", "delivery_ratio", "{:.4f}"),
         ("mean_delay_ms", "mean_delay_ms", "{:.3f}"),
         ("transmissions_total", "transmissions", "{:.1f}"),
+        ("replications (n)", "n", "{}"),
     ]
     width = max([14] + [len(p) + 18 for p in protocols])
     label_w = max([10] + [len(c) for c in cells]) + 2
@@ -196,8 +200,13 @@ def render_table(table: dict) -> str:
                 if stats is None or stats[field] is None:
                     parts.append("-".ljust(width))
                     continue
-                mean, std = stats[field]
-                parts.append(f"{fmt.format(mean)} ± {fmt.format(std)}".ljust(width))
+                value = stats[field]
+                if field == "n":
+                    text = fmt.format(value)
+                else:
+                    mean, std = value
+                    text = f"{fmt.format(mean)} ± {fmt.format(std)}"
+                parts.append(text.ljust(width))
             lines.append("".join(parts))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -92,7 +92,7 @@ def test_dump_traces_csv(tmp_path, capsys):
     path = write_scn(tmp_path, TINY)
     dump = tmp_path / "traces.csv"
     assert main(["run", str(path), "--dump-traces", str(dump)]) == 0
-    capsys.readouterr()
+    dumped_row = capsys.readouterr().out.splitlines()[-1]
     lines = dump.read_text().splitlines()
     assert lines[0] == "node,t,x,y"
     # 6 nodes sampled once per second over [0, 5]
@@ -100,6 +100,10 @@ def test_dump_traces_csv(tmp_path, capsys):
     for line in lines[1:]:
         node, t, x, y = line.split(",")
         assert 0 <= float(x) <= 1000 and 0 <= float(y) <= 1000
+    assert lines[-1].split(",")[1] == "5.0"
+    # Dumping the traces must not change the run itself.
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == dumped_row
 
 
 def test_sweep_writes_rows_and_table(tmp_path, capsys):
@@ -140,6 +144,9 @@ def test_sweep_with_failed_cell_exits_2(tmp_path, capsys, monkeypatch):
     rows = [l for l in captured.out.splitlines() if l.startswith("crp,")]
     assert len(rows) == 1 and ",0.0," in rows[0]
     assert "delivery_ratio" in captured.out and "pause=0.0" in captured.out
+    n_block = captured.out.split("replications (n)\n")[1].splitlines()
+    assert n_block[0].split() == ["crp"]
+    assert n_block[1].split() == ["pause=0.0", "1"]
     assert len((out_dir / "results.csv").read_text().splitlines()) == 2
 
 
@@ -148,3 +155,5 @@ def test_malformed_jobs_variable_exits_1(tmp_path, capsys, monkeypatch):
     path = write_scn(tmp_path, TINY)
     assert main(["sweep", str(path), "--axis", "pause", "--values", "0"]) == 1
     assert "MANET_LAB_JOBS" in capsys.readouterr().err
+    assert main(["sweep", str(path), "--axis", "pause", "--values", "0",
+                 "--jobs", "0"]) == 1

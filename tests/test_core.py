@@ -1,8 +1,10 @@
 """Event loop ordering, cancellation, and seeded stream determinism."""
 
+import random
+
 import pytest
 
-from manet_lab.core import EventKind, Simulator, rng_stream, us
+from manet_lab.core import EventKind, Simulator, _derive_seed, rng_stream, us
 from manet_lab.errors import SchedulingInPast
 
 
@@ -109,6 +111,16 @@ def test_rng_labels_are_independent():
     a = rng_stream(7, "traffic")
     b = rng_stream(7, "mobility")
     assert [a.random() for _ in range(50)] != [b.random() for _ in range(50)]
+
+
+def test_rng_draws_match_plain_random_with_derived_seed():
+    # The stream is exactly random.Random seeded with the derived seed.
+    stream = rng_stream(11, "mobility")
+    plain = random.Random(_derive_seed(11, "mobility"))
+    for _ in range(100):
+        assert stream.random() == plain.random()
+        assert stream.uniform(-3.0, 7.0) == plain.uniform(-3.0, 7.0)
+        assert stream.gauss(0.0, 1.0) == plain.gauss(0.0, 1.0)
 
 
 def test_rng_uniform_mean():

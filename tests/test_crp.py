@@ -164,13 +164,13 @@ def test_source_at_local_maximum_floods_from_itself(void_positions):
 def test_reanchor_toggle_controls_route_loss_behavior(void_positions):
     # A packet in route mode reaching a node with no live entry either
     # re-anchors a discovery there (default) or dies (toggle off).
-    from manet_lab.packets import CrpHeader, CrpMode, Packet, PacketKind
+    from manet_lab.packets import GeoHeader, GeoMode, Packet, PacketKind
 
     def routeless_packet(engine, uid):
         pkt = Packet(uid=uid, kind=PacketKind.DATA, origin=VOID_S,
                      final_dst=VOID_D, created_at=0, ttl=32, size_bytes=512)
-        pkt.crp = CrpHeader(mode=CrpMode.AODV_ROUTE,
-                            dst_pos=void_positions[VOID_D])
+        pkt.geo = GeoHeader(dst_pos=void_positions[VOID_D],
+                            mode=GeoMode.ROUTE)
         engine.metrics.record_origination(uid, 0)
         return pkt
 

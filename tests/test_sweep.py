@@ -130,6 +130,10 @@ def test_resolve_jobs_reads_and_checks_environment(monkeypatch):
     monkeypatch.setenv("MANET_LAB_JOBS", "3")
     assert resolve_jobs(None) == 3
     assert resolve_jobs(2) == 2  # an explicit count wins
+    for bad in (0, -3):
+        with pytest.raises(ValidationError) as err:
+            resolve_jobs(bad)
+        assert err.value.field == "jobs"
     for bad in ("two", "1.5", "0", "-4"):
         monkeypatch.setenv("MANET_LAB_JOBS", bad)
         with pytest.raises(ValidationError) as err:

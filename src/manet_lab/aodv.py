@@ -99,9 +99,10 @@ class _Discovery:
 class ReactiveCore:
     """Flood/reply machinery bound to one node.
 
-    The owner supplies two hooks: `send_buffered(pkt, entry)` to launch each
-    buffered packet once a route is ready, and `on_control_link_failure(
-    next_hop, pkt)` when forwarding a route reply hits a dead link.
+    The owner supplies two hooks: `send_on_route(pkt, entry)` sends a
+    packet along a ready route (the core calls it for each buffered packet
+    once discovery succeeds), and `on_link_failure(next_hop, pkt)` handles a
+    dead link (the core calls it when forwarding a route reply fails).
     """
 
     def __init__(self, engine, node: int, owner):
@@ -153,7 +154,7 @@ class ReactiveCore:
         )
         self.seen[(self.node, self.next_rreq_id)] = now
         self.engine.note_flood(self.node, dst)
-        self.engine.broadcast(self.node, pkt)
+        self.engine.radio.broadcast(self.node, pkt)
         d.timer = self.engine.schedule_timer(self.node, self._timeout_us(),
                                              ("discovery", dst))
 
@@ -174,7 +175,7 @@ class ReactiveCore:
 
     def _flush(self, dst: int, d: _Discovery) -> None:
         if d.timer is not None:
-            self.engine.cancel_timer(d.timer)
+            self.engine.sim.cancel(d.timer)
         del self.pending[dst]
         while d.buffer:
             pkt = d.buffer.popleft()
@@ -182,7 +183,7 @@ class ReactiveCore:
             if entry is None:  # route died while flushing
                 self.buffer_and_discover(dst, pkt)
                 continue
-            self.owner.send_buffered(pkt, entry)
+            self.owner.send_on_route(pkt, entry)
 
     # -- flood handling ------------------------------------------------
 
@@ -209,7 +210,7 @@ class ReactiveCore:
         pkt.ttl -= 1
         if pkt.ttl >= 1:
             hdr.hop_count += 1
-            self.engine.broadcast(self.node, pkt)
+            self.engine.radio.broadcast(self.node, pkt)
 
     def _send_rrep(self, subject: int, discovery_origin: int, to: int,
                    hop_count: int, dst_seq: int) -> None:
@@ -221,9 +222,9 @@ class ReactiveCore:
             aodv=AodvHeader(rreq_id=0, origin_seq=0, dst_seq=dst_seq,
                             hop_count=hop_count),
         )
-        outcome = self.engine.unicast(self.node, to, pkt)
+        outcome = self.engine.radio.unicast(self.node, to, pkt)
         if outcome.status is TxStatus.LINK_FAILURE:
-            self.owner.on_control_link_failure(to, pkt)
+            self.owner.on_link_failure(to, pkt)
 
     def handle_rrep(self, pkt: Packet, sender: int) -> None:
         hdr = pkt.aodv
@@ -246,9 +247,9 @@ class ReactiveCore:
             return
         hdr.hop_count += 1
         self.table.refresh(back, now)
-        outcome = self.engine.unicast(self.node, back.next_hop, pkt)
+        outcome = self.engine.radio.unicast(self.node, back.next_hop, pkt)
         if outcome.status is TxStatus.LINK_FAILURE:
-            self.owner.on_control_link_failure(back.next_hop, pkt)
+            self.owner.on_link_failure(back.next_hop, pkt)
 
 
 class AodvNode:
@@ -290,20 +291,17 @@ class AodvNode:
             return
         entry = self.core.table.lookup_active(pkt.final_dst, self.engine.now)
         if entry is not None:
-            self._send_data(pkt, entry)
+            self.send_on_route(pkt, entry)
         else:
             self.core.buffer_and_discover(pkt.final_dst, pkt)
 
-    def send_buffered(self, pkt: Packet, entry: RouteEntry) -> None:
-        self._send_data(pkt, entry)
-
-    def _send_data(self, pkt: Packet, entry: RouteEntry) -> None:
+    def send_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
         if pkt.ttl < 1:
             self.engine.drop(pkt, DropCause.TTL)
             return
         pkt.ttl -= 1
         self.core.table.refresh(entry, self.engine.now)
-        outcome = self.engine.unicast(self.node, entry.next_hop, pkt)
+        outcome = self.engine.radio.unicast(self.node, entry.next_hop, pkt)
         if outcome.status is TxStatus.LINK_FAILURE:
             self.on_link_failure(entry.next_hop, pkt)
         else:
@@ -333,7 +331,7 @@ class AodvNode:
             self._emit_rerr([(pkt.final_dst, e.dst_seq if e else 0)])
             self.engine.drop(pkt, DropCause.LINK_FAILURE)
             return
-        self._send_data(pkt, entry)
+        self.send_on_route(pkt, entry)
 
     # -- failure handling ----------------------------------------------
 
@@ -350,9 +348,6 @@ class AodvNode:
         else:
             self.engine.metrics.note_diagnostic("control_link_failure")
 
-    def on_control_link_failure(self, next_hop: int, pkt: Packet) -> None:
-        self.on_link_failure(next_hop, pkt)
-
     def _emit_rerr(self, affected: list[tuple[int, int]], ttl: int | None = None) -> None:
         pkt = Packet(
             uid=self.engine.next_uid(), kind=PacketKind.RERR,
@@ -361,7 +356,7 @@ class AodvNode:
             size_bytes=self.engine.scenario.control_size_bytes,
             rerr_dsts=tuple(affected),
         )
-        self.engine.broadcast(self.node, pkt)
+        self.engine.radio.broadcast(self.node, pkt)
 
     def _handle_rerr(self, pkt: Packet, sender: int) -> None:
         hit = []
@@ -390,5 +385,5 @@ class AodvNode:
             origin=self.node, final_dst=-1, created_at=now,
             ttl=1, size_bytes=self._hello_size,
         )
-        self.engine.broadcast(self.node, pkt)
+        self.engine.radio.broadcast(self.node, pkt)
         self.engine.schedule_timer(self.node, self._hello_interval, ("hello",))

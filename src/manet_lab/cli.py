@@ -16,7 +16,7 @@ from .errors import ParseError, ValidationError
 from .metrics import MetricsRow
 from .mobility import position_at
 from .scenario import Scenario, format_scenario, load_scenario, validate_scenario
-from .sweep import SweepPlan, aggregate, emit, render_table, run_sweep
+from .sweep import AXIS_FIELDS, SweepPlan, aggregate, emit, render_table, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="replicated sweep over one axis")
     sweep_p.add_argument("scenario", type=Path)
     sweep_p.add_argument("--axis", required=True,
-                         choices=["rate", "pause", "n_nodes", "protocol"])
+                         choices=list(AXIS_FIELDS))
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated axis values")
     sweep_p.add_argument("--reps", type=int, default=1)

@@ -33,7 +33,6 @@ class EventKind(Enum):
     PACKET_ARRIVAL = "packet_arrival"
     TIMER_EXPIRY = "timer_expiry"
     TRAFFIC_EMIT = "traffic_emit"
-    BEACON_TICK = "beacon_tick"
 
 
 @dataclass

@@ -36,13 +36,12 @@ class CrpNode(BeaconMixin):
     def on_timer(self, payload) -> None:
         if payload[0] == "discovery":
             self.core.on_discovery_timeout(payload[1])
+        elif payload[0] == "beacon":
+            self.on_beacon_tick()
 
     # -- data plane ------------------------------------------------------
 
     def originate(self, pkt: Packet) -> None:
-        if pkt.final_dst == self.node:
-            self.engine.deliver(self.node, pkt)
-            return
         pkt.geo = GeoHeader(dst_pos=self.engine.dst_position(pkt.final_dst))
         self.forward(pkt)
 
@@ -91,27 +90,23 @@ class CrpNode(BeaconMixin):
                 self.on_local_maximum(pkt)
                 return
             pkt.ttl -= 1
-            outcome = engine.unicast(self.node, nh, pkt)
+            outcome = engine.radio.unicast(self.node, nh, pkt)
             if outcome.status is TxStatus.DELIVERED:
                 engine.note_hop(pkt, self.node, "geo_greedy")
                 return
             pkt.ttl += 1  # the hop did not happen
-            self.nbrs.evict(nh)
-            self.core.table.invalidate_via(nh, engine.now)
+            self._forget_link(nh)
         engine.drop(pkt, DropCause.LINK_FAILURE)
 
     def _forward_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
         engine = self.engine
         pkt.ttl -= 1
         self.core.table.refresh(entry, engine.now)
-        outcome = engine.unicast(self.node, entry.next_hop, pkt)
+        outcome = engine.radio.unicast(self.node, entry.next_hop, pkt)
         if outcome.status is TxStatus.DELIVERED:
             engine.note_hop(pkt, self.node, "aodv_route")
-            return
-        # No recovery: lose this packet, invalidate quietly, send no RERR.
-        self.nbrs.evict(entry.next_hop)
-        self.core.table.invalidate_via(entry.next_hop, engine.now)
-        engine.drop(pkt, DropCause.LINK_FAILURE)
+        else:
+            self.on_link_failure(entry.next_hop, pkt)
 
     def on_local_maximum(self, pkt: Packet) -> None:
         """Greedy has no closer neighbor here: ride a cached escape route if
@@ -120,22 +115,27 @@ class CrpNode(BeaconMixin):
         if self.escape_cache_enabled:
             entry = self.core.table.lookup_active(pkt.final_dst, engine.now)
             if entry is not None:
-                self._switch_to_route(pkt)
-                self._forward_on_route(pkt, entry)
+                self.send_on_route(pkt, entry)
                 return
         self.core.buffer_and_discover(pkt.final_dst, pkt)
 
     def _switch_to_route(self, pkt: Packet) -> None:
         pkt.geo.mode = GeoMode.ROUTE
 
+    def _forget_link(self, next_hop: int) -> None:
+        self.nbrs.evict(next_hop)
+        self.core.table.invalidate_via(next_hop, self.engine.now)
+
     # -- ReactiveCore owner hooks ----------------------------------------
 
-    def send_buffered(self, pkt: Packet, entry: RouteEntry) -> None:
+    def send_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
         self._switch_to_route(pkt)
         self._forward_on_route(pkt, entry)
 
-    def on_control_link_failure(self, next_hop: int, pkt: Packet) -> None:
-        # Reply forwarding hit a dead link; invalidate quietly, no RERR.
-        self.nbrs.evict(next_hop)
-        self.core.table.invalidate_via(next_hop, self.engine.now)
-        self.engine.metrics.note_diagnostic("control_link_failure")
+    def on_link_failure(self, next_hop: int, pkt: Packet) -> None:
+        # No recovery: invalidate quietly and send no RERR; data is lost.
+        self._forget_link(next_hop)
+        if pkt.kind is PacketKind.DATA:
+            self.engine.drop(pkt, DropCause.LINK_FAILURE)
+        else:
+            self.engine.metrics.note_diagnostic("control_link_failure")

@@ -15,7 +15,7 @@ from .gpsr import GpsrNode
 from .metrics import DropCause, MetricsRow, RunMetrics
 from .mobility import WaypointTrace, position_at, random_waypoint_trace
 from .packets import Packet, PacketKind
-from .radio import Radio, RadioConfig, TxOutcome
+from .radio import Radio, RadioConfig
 from .scenario import Scenario
 from .traffic import CbrStream, make_streams
 
@@ -76,10 +76,8 @@ class Engine:
         proto = self.scenario.protocol
         if proto == "aodv":
             return AodvNode(self, node)
-        if proto == "gpsr":
-            return GpsrNode(self, node, perimeter_enabled=self.scenario.perimeter_enabled)
-        if proto == "gpsr_greedy_only":
-            return GpsrNode(self, node, perimeter_enabled=False)
+        if proto in ("gpsr", "gpsr_greedy_only"):
+            return GpsrNode(self, node)
         if proto == "crp":
             return CrpNode(self, node)
         raise ValueError(f"unknown protocol {proto!r}")
@@ -126,12 +124,6 @@ class Engine:
     def next_uid(self) -> int:
         return next(self._uids)
 
-    def broadcast(self, node: int, pkt: Packet) -> list[tuple[int, SimTime]]:
-        return self.radio.broadcast(node, pkt)
-
-    def unicast(self, node: int, next_hop: int, pkt: Packet) -> TxOutcome:
-        return self.radio.unicast(node, next_hop, pkt)
-
     def deliver(self, node: int, pkt: Packet) -> None:
         self.metrics.record_delivery(pkt.uid, pkt.created_at, self.sim.now)
         self.note_hop(pkt, node, "delivered")
@@ -146,12 +138,6 @@ class Engine:
     def schedule_timer(self, node: int, delay_us: SimTime, payload):
         return self.sim.schedule(self.sim.now + delay_us, EventKind.TIMER_EXPIRY,
                                  node, payload)
-
-    def cancel_timer(self, handle) -> None:
-        self.sim.cancel(handle)
-
-    def schedule_beacon(self, node: int, at: SimTime) -> None:
-        self.sim.schedule(at, EventKind.BEACON_TICK, node)
 
     def note_flood(self, origin: int, dst: int) -> None:
         self.flood_log.append((origin, dst, self.sim.now))
@@ -171,8 +157,6 @@ class Engine:
             self.protocols[ev.target].on_timer(ev.payload)
         elif kind is EventKind.TRAFFIC_EMIT:
             self._emit(ev.payload)
-        elif kind is EventKind.BEACON_TICK:
-            self.protocols[ev.target].on_beacon_tick()
 
     def _emit(self, stream_idx: int) -> None:
         s = self.streams[stream_idx]

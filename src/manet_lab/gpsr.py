@@ -111,7 +111,8 @@ def perimeter_next_hop(self_pos: Position, planar: list[NeighborEntry],
 
 
 class BeaconMixin:
-    """Periodic position beaconing shared by the geographic protocols."""
+    """Periodic position beaconing on a ("beacon",) timer, shared by the
+    geographic protocols; the owner's `on_timer` calls `on_beacon_tick`."""
 
     def _init_beacons(self, engine, node):
         cfg = engine.scenario
@@ -122,7 +123,7 @@ class BeaconMixin:
 
     def _start_beacons(self):
         first = round(self.engine.rng_beacon.uniform(0, self._beacon_interval))
-        self.engine.schedule_beacon(self.node, self.engine.now + first)
+        self.engine.schedule_timer(self.node, first, ("beacon",))
 
     def on_beacon_tick(self):
         engine = self.engine
@@ -132,12 +133,12 @@ class BeaconMixin:
             ttl=1, size_bytes=self._beacon_size,
             src_pos=engine.position(self.node),
         )
-        engine.broadcast(self.node, pkt)
+        engine.radio.broadcast(self.node, pkt)
         gap = self._beacon_interval
         if self._beacon_jitter > 0:
             gap += round(engine.rng_beacon.uniform(-self._beacon_jitter,
                                                    self._beacon_jitter))
-        engine.schedule_beacon(self.node, engine.now + max(1, gap))
+        engine.schedule_timer(self.node, max(1, gap), ("beacon",))
 
     def _on_beacon(self, pkt: Packet, sender: int):
         self.nbrs.update(sender, pkt.src_pos, self.engine.now)
@@ -146,22 +147,20 @@ class BeaconMixin:
 class GpsrNode(BeaconMixin):
     """Per-node forwarding state: just the beacon-fed neighbor table."""
 
-    def __init__(self, engine, node: int, perimeter_enabled: bool = True):
+    def __init__(self, engine, node: int):
         self.engine = engine
         self.node = node
-        self.perimeter_enabled = perimeter_enabled
+        self.perimeter_enabled = engine.scenario.protocol != "gpsr_greedy_only"
         self._init_beacons(engine, node)
 
     def start(self) -> None:
         self._start_beacons()
 
-    def on_timer(self, payload) -> None:  # no protocol timers beyond beacons
-        pass
+    def on_timer(self, payload) -> None:
+        if payload[0] == "beacon":
+            self.on_beacon_tick()
 
     def originate(self, pkt: Packet) -> None:
-        if pkt.final_dst == self.node:
-            self.engine.deliver(self.node, pkt)
-            return
         pkt.geo = GeoHeader(dst_pos=self.engine.dst_position(pkt.final_dst))
         self.forward(pkt, arrived_from=None)
 
@@ -223,7 +222,7 @@ class GpsrNode(BeaconMixin):
                     # walk is exhausted and the destination unreachable
                     engine.drop(pkt, DropCause.PERIMETER)
                     return
-            outcome = engine.unicast(self.node, nh, pkt)
+            outcome = engine.radio.unicast(self.node, nh, pkt)
             if outcome.status is TxStatus.DELIVERED:
                 engine.note_hop(pkt, self.node, g.mode.value)
                 return

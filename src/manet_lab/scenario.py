@@ -2,6 +2,7 @@
 
 import dataclasses
 from dataclasses import dataclass
+from math import hypot
 from pathlib import Path
 
 from .core import us
@@ -52,7 +53,6 @@ class Scenario:
     beacon_interval_s: float = 1.0
     beacon_jitter_s: float = 0.25
     neighbor_timeout_s: float = 4.5
-    perimeter_enabled: bool = True
     escape_cache: bool = True
     reanchor_on_route_loss: bool = True
 
@@ -73,24 +73,24 @@ _NON_NEGATIVE = [
 ]
 
 
-def _convert(field_name: str, raw: str, line: int):
+def _convert(field_name: str, raw: str, line: int | None = None):
+    """Parse one field's text value; a bad value raises a ParseError that
+    names the field."""
     ftype = _FIELDS[field_name].type
     raw = raw.strip()
     try:
-        if ftype in (bool, "bool"):
+        if ftype is bool:
             low = raw.lower()
             if low in _TRUE:
                 return True
             if low in _FALSE:
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if ftype in (int, "int"):
-            return int(raw)
-        if ftype in (float, "float"):
-            return float(raw)
+        if ftype in (int, float):
+            return ftype(raw)
         return raw
     except ValueError as exc:
-        raise ParseError(str(exc), line=line) from None
+        raise ParseError(f"{field_name}: {exc}", line=line) from None
 
 
 def parse_scenario(text: str, name: str | None = None) -> Scenario:
@@ -139,6 +139,12 @@ def validate_scenario(sc: Scenario) -> None:
                               field="rate_pps")
     if us(sc.hello_interval_s) == 0:
         raise ValidationError("rounds to 0 us", field="hello_interval_s")
+    # With no pause and no leg longer than 0 us, trace generation never
+    # reaches the end of the run.
+    if us(sc.pause_s) == 0 and us(hypot(sc.area_width, sc.area_height)
+                                  / sc.speed_mps) == 0:
+        raise ValidationError("even a leg across the whole area takes 0 us "
+                              "and pause_s rounds to 0 us", field="speed_mps")
 
 
 def format_scenario(sc: Scenario, comment: bool = False) -> str:

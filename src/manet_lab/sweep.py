@@ -10,7 +10,7 @@ from pathlib import Path
 from .engine import run_one
 from .errors import ValidationError
 from .metrics import MetricsRow
-from .scenario import PROTOCOLS, Scenario, validate_scenario
+from .scenario import PROTOCOLS, Scenario, _convert, validate_scenario
 
 AXIS_FIELDS = {
     "rate": "rate_pps",
@@ -45,16 +45,12 @@ def plan_cells(plan: SweepPlan) -> list[Scenario]:
     and replication; replication k runs with seed base.seed + k so all
     protocols in a cell share mobility and traffic."""
     field = AXIS_FIELDS[plan.axis]
-    ftype = {f.name: f.type for f in dataclasses.fields(Scenario)}[field]
     protocols = plan.protocols or [plan.base.protocol]
     if plan.axis == "protocol":
         protocols = [None]
     cells = []
-    for value in plan.values:
-        if ftype in (int, "int"):
-            value = int(value)
-        elif ftype in (float, "float"):
-            value = float(value)
+    for raw in plan.values:
+        value = _convert(field, str(raw))
         for proto in protocols:
             for rep in range(plan.replications):
                 overrides = {

@@ -157,3 +157,22 @@ def test_malformed_jobs_variable_exits_1(tmp_path, capsys, monkeypatch):
     assert "MANET_LAB_JOBS" in capsys.readouterr().err
     assert main(["sweep", str(path), "--axis", "pause", "--values", "0",
                  "--jobs", "0"]) == 1
+
+
+@pytest.mark.parametrize("axis, value, field", [
+    ("rate", "abc", "rate_pps"),
+    ("n_nodes", "30.5", "n_nodes"),
+])
+def test_sweep_bad_axis_value_exits_1(tmp_path, capsys, monkeypatch,
+                                      axis, value, field):
+    import manet_lab.sweep as sweep_mod
+
+    def no_run(sc):
+        raise AssertionError("a bad axis value must not start a run")
+
+    monkeypatch.setattr(sweep_mod, "run_one", no_run)
+    path = write_scn(tmp_path, TINY)
+    assert main(["sweep", str(path), "--axis", axis, "--values", value]) == 1
+    err = capsys.readouterr().err
+    assert "scenario error" in err and field in err
+

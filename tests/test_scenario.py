@@ -1,5 +1,9 @@
 """Scenario parsing, validation, and the defaults contract."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from manet_lab.errors import ParseError, ValidationError
@@ -46,7 +50,7 @@ def test_empty_file_gives_documented_defaults():
     assert "n_nodes = 30" in echoed
     assert "radio_range = 250.0" in echoed
     assert "rate_pps = 4.0" in echoed
-    assert "perimeter_enabled = on" in echoed
+    assert "escape_cache = on" in echoed
 
 
 def test_unknown_key_reports_line_number():
@@ -107,3 +111,26 @@ def test_periods_rounding_to_zero_us_rejected():
         assert err.value.field == field
     assert parse_scenario("rate_pps = 1999999\n").rate_pps == 1999999.0
     assert parse_scenario("hello_interval_s = 1e-6\n").hello_interval_s == 1e-6
+
+
+def test_trace_generation_that_cannot_end_rejected():
+    # With no pause and every leg under 0.5 us, random-waypoint generation
+    # never advances the clock; only parsing happens here, no engine starts.
+    endless = "speed_mps = 1e12\npause_s = 0\nduration_s = 5\n"
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(endless)
+    assert err.value.field == "speed_mps"
+    with pytest.raises(ValidationError):
+        parse_scenario("speed_mps = 1e12\npause_s = 1e-7\n")
+    # A pause of 1 us, or a diagonal leg of 1 us, lets the clock advance.
+    assert parse_scenario("speed_mps = 1e12\npause_s = 1e-6\n").pause_s == 1e-6
+    assert parse_scenario("speed_mps = 1e9\npause_s = 0\n").speed_mps == 1e9
+
+
+def test_readme_key_table_names_every_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    documented = []
+    for row in table.splitlines()[2:]:
+        documented += re.findall(r"`(\w+)`", row.split("|")[1])
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(Scenario))

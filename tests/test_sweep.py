@@ -34,6 +34,20 @@ def test_cell_expansion_and_seeds():
         assert got == [5, 6, 7]  # base.seed + replication index
 
 
+def test_string_values_convert_like_scenario_text():
+    # The CLI passes axis values as strings; numbers give the same cells.
+    from_text = plan_cells(SweepPlan(base=BASE, axis="pause",
+                                     values=["0", "40"], replications=1))
+    from_numbers = plan_cells(SweepPlan(base=BASE, axis="pause",
+                                        values=[0, 40], replications=1))
+    assert from_text == from_numbers
+    assert [(c.name, c.pause_s) for c in from_text] == [("pause=0.0", 0.0),
+                                                        ("pause=40.0", 40.0)]
+    n_cells = plan_cells(SweepPlan(base=BASE, axis="n_nodes",
+                                   values=["12"], replications=1))
+    assert n_cells[0].n_nodes == 12 and n_cells[0].name == "n_nodes=12"
+
+
 def test_protocol_axis_ignores_protocol_list():
     plan = SweepPlan(base=BASE, axis="protocol",
                      values=["aodv", "gpsr", "crp"], replications=2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .core import SimTime, us
 from .metrics import DropCause
 from .packets import AodvHeader, Packet, PacketKind
-from .radio import TxStatus
+from .radio import TxStatus, clone
 
 DISCOVERY_TIMEOUT_FLOOR_S = 0.1
 
@@ -207,10 +207,12 @@ class ReactiveCore:
                             to=sender, hop_count=cached.hop_count,
                             dst_seq=cached.dst_seq)
             return
-        pkt.ttl -= 1
-        if pkt.ttl >= 1:
-            hdr.hop_count += 1
-            self.engine.radio.broadcast(self.node, pkt)
+        if pkt.ttl > 1:
+            # Every receiver of the flood shares pkt: change a copy.
+            fwd = clone(pkt)
+            fwd.ttl -= 1
+            fwd.aodv.hop_count += 1
+            self.engine.radio.broadcast(self.node, fwd)
 
     def _send_rrep(self, subject: int, discovery_origin: int, to: int,
                    hop_count: int, dst_seq: int) -> None:

@@ -151,8 +151,10 @@ class Engine:
     def _dispatch(self, ev) -> None:
         kind = ev.kind
         if kind is EventKind.PACKET_ARRIVAL:
-            pkt, sender = ev.payload
-            self.protocols[ev.target].on_packet(pkt, sender)
+            pkt, sender, receivers = ev.payload
+            protocols = self.protocols
+            for receiver in receivers:
+                protocols[receiver].on_packet(pkt, sender)
         elif kind is EventKind.TIMER_EXPIRY:
             self.protocols[ev.target].on_timer(ev.payload)
         elif kind is EventKind.TRAFFIC_EMIT:

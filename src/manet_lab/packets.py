@@ -54,10 +54,11 @@ class Packet:
 
 
 def clone(pkt: Packet) -> Packet:
-    """Per-receiver copy; headers are duplicated so receivers never alias.
+    """Copy with its own headers, so changing it leaves pkt untouched.
 
-    Built by hand rather than dataclasses.replace: this sits on the hot path
-    (one call per delivered copy of every transmission).
+    Every receiver of a broadcast gets the same packet object, so code that
+    changes a received broadcast (a rebroadcast with a lower ttl, say) must
+    change a clone. A unicast's receiver owns the packet and needs no copy.
     """
     a = pkt.aodv
     g = pkt.geo

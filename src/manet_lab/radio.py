@@ -5,6 +5,14 @@ only loss mechanisms in the model are route breakage and TTL expiry, so a
 unicast either schedules exactly one arrival or reports a link failure
 synchronously to the sender (the MAC-level callback the hybrid protocol
 relies on). The verdict is decided by node positions at send time.
+
+A transmission schedules one `PACKET_ARRIVAL` whose payload is
+`(pkt, sender, receivers)`: a broadcast without jitter carries every
+receiver in id order, while a jittered broadcast and a unicast carry one
+receiver per event. Broadcast receivers share the one packet read-only,
+and a unicast hands its packet over to the receiver; code that changes a
+received broadcast copies it first with `clone`, which this module exports
+beside that rule.
 """
 
 from dataclasses import dataclass
@@ -79,19 +87,22 @@ class Radio:
         return us(self._jitter.uniform(0.0, self.config.jitter_max_s))
 
     def broadcast(self, sender: int, pkt: Packet) -> list[tuple[int, SimTime]]:
-        """Deliver a copy to every current neighbor; one transmission regardless."""
+        """Deliver pkt to every current neighbor; one transmission regardless."""
         t = self._sim.now
         self._metrics.record_transmission(pkt.kind, is_broadcast=True)
         rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
         receivers = self.neighbors(sender, t)
+        schedule = self._sim.schedule
         if self._jitter_us > 0:
             deliveries = [(r, rt + self._jitter_draw()) for r in receivers]
-        else:
-            deliveries = [(r, rt) for r in receivers]
-        schedule = self._sim.schedule
-        for receiver, at in deliveries:
-            schedule(at, EventKind.PACKET_ARRIVAL, receiver, (clone(pkt), sender))
-        return deliveries
+            for receiver, at in deliveries:
+                schedule(at, EventKind.PACKET_ARRIVAL, None, (pkt, sender, (receiver,)))
+            return deliveries
+        # One event in place of one per receiver at consecutive seq values:
+        # the dispatch order is the same.
+        if receivers:
+            schedule(rt, EventKind.PACKET_ARRIVAL, None, (pkt, sender, tuple(receivers)))
+        return [(r, rt) for r in receivers]
 
     def unicast(self, sender: int, next_hop: int, pkt: Packet) -> TxOutcome:
         """Send to one neighbor; out-of-range reports LinkFailure synchronously."""
@@ -104,5 +115,5 @@ class Radio:
         rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
         if self._jitter_us > 0:
             rt += self._jitter_draw()
-        self._sim.schedule(rt, EventKind.PACKET_ARRIVAL, next_hop, (clone(pkt), sender))
+        self._sim.schedule(rt, EventKind.PACKET_ARRIVAL, None, (pkt, sender, (next_hop,)))
         return TxOutcome(TxStatus.DELIVERED, rt)

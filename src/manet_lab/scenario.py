@@ -2,7 +2,7 @@
 
 import dataclasses
 from dataclasses import dataclass
-from math import hypot
+from math import hypot, isfinite
 from pathlib import Path
 
 from .core import us
@@ -58,6 +58,7 @@ class Scenario:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Scenario)}
+_FLOATS = [name for name, f in _FIELDS.items() if f.type is float]
 
 _POSITIVE = [
     "n_nodes", "area_width", "area_height", "radio_range",
@@ -125,6 +126,10 @@ def validate_scenario(sc: Scenario) -> None:
         raise ValidationError(
             f"unsupported protocol {sc.protocol!r}; choose one of {', '.join(PROTOCOLS)}",
             field="protocol")
+    # NaN passes every sign check below, and inf passes the lower bounds.
+    for fname in _FLOATS:
+        if not isfinite(getattr(sc, fname)):
+            raise ValidationError("must be a finite number", field=fname)
     for fname in _POSITIVE:
         if getattr(sc, fname) <= 0:
             raise ValidationError("must be positive", field=fname)
@@ -133,16 +138,24 @@ def validate_scenario(sc: Scenario) -> None:
             raise ValidationError("must not be negative", field=fname)
     if sc.n_nodes < 2:
         raise ValidationError("need at least two nodes", field="n_nodes")
+    # Finite inputs can still overflow these quotients (rate_pps = 1e-320).
+    interval_s = 1.0 / sc.rate_pps
+    if not isfinite(interval_s):
+        raise ValidationError("packet interval 1/rate_pps overflows",
+                              field="rate_pps")
+    diagonal_s = hypot(sc.area_width, sc.area_height) / sc.speed_mps
+    if not isfinite(diagonal_s):
+        raise ValidationError("a leg across the whole area takes longer than "
+                              "a float can hold", field="speed_mps")
     # Periods that round to 0 us would re-fire at the same instant forever.
-    if us(1.0 / sc.rate_pps) == 0:
+    if us(interval_s) == 0:
         raise ValidationError("packet interval 1/rate_pps rounds to 0 us",
                               field="rate_pps")
     if us(sc.hello_interval_s) == 0:
         raise ValidationError("rounds to 0 us", field="hello_interval_s")
     # With no pause and no leg longer than 0 us, trace generation never
     # reaches the end of the run.
-    if us(sc.pause_s) == 0 and us(hypot(sc.area_width, sc.area_height)
-                                  / sc.speed_mps) == 0:
+    if us(sc.pause_s) == 0 and us(diagonal_s) == 0:
         raise ValidationError("even a leg across the whole area takes 0 us "
                               "and pause_s rounds to 0 us", field="speed_mps")
 

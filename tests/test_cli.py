@@ -58,6 +58,29 @@ def test_validate_zero_us_period_exits_1(tmp_path, capsys, monkeypatch, text, fi
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("rate_pps = nan\n", "rate_pps"),
+    ("radio_range = nan\n", "radio_range"),
+    ("speed_mps = nan\n", "speed_mps"),
+    ("duration_s = inf\n", "duration_s"),
+    ("area_width = inf\n", "area_width"),
+    # finite values whose derived periods overflow to inf
+    ("rate_pps = 1e-320\n", "rate_pps"),
+    ("speed_mps = 5e-324\npause_s = 0\n", "speed_mps"),
+])
+def test_validate_non_finite_exits_1(tmp_path, capsys, monkeypatch, text, field):
+    import manet_lab.cli as cli_mod
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("validate must not start an engine")
+
+    monkeypatch.setattr(cli_mod, "Engine", no_engine)
+    monkeypatch.setattr(cli_mod, "run_one", no_engine)
+    path = write_scn(tmp_path, text)
+    assert main(["validate", str(path)]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_run_prints_header_echo_and_row(tmp_path, capsys):
     path = write_scn(tmp_path, TINY)
     out_dir = tmp_path / "out"

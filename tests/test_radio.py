@@ -111,12 +111,11 @@ def test_broadcast_receive_time_no_jitter():
     deliveries = radio.broadcast(0, data_packet())
     expected = us(0.002048) + us(0.001)
     assert [(r, t) for r, t in deliveries] == [(1, expected), (2, expected)]
-    # arrivals really are scheduled
+    # one arrival event carries every receiver, in id order
     arrivals = []
-    sim.handler = lambda ev: arrivals.append((ev.target, sim.now, ev.kind))
+    sim.handler = lambda ev: arrivals.append((ev.payload[2], sim.now, ev.kind))
     sim.run_until(us(1))
-    assert arrivals == [(1, expected, EventKind.PACKET_ARRIVAL),
-                        (2, expected, EventKind.PACKET_ARRIVAL)]
+    assert arrivals == [((1, 2), expected, EventKind.PACKET_ARRIVAL)]
 
 
 def test_broadcast_jitter_range_and_spread():

@@ -314,7 +314,10 @@ class AodvNode:
         if kind is PacketKind.DATA:
             self._handle_data(pkt, sender)
         elif kind is PacketKind.RREQ:
-            self.core.handle_rreq(pkt, sender)
+            core = self.core
+            # Most receptions of a flood are repeats: skip them without a call.
+            if (pkt.origin, pkt.aodv.rreq_id) not in core.seen:
+                core.handle_rreq(pkt, sender)
         elif kind is PacketKind.RREP:
             self.core.handle_rrep(pkt, sender)
         elif kind is PacketKind.RERR:

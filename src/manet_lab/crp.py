@@ -48,11 +48,14 @@ class CrpNode(BeaconMixin):
     def on_packet(self, pkt: Packet, sender: int) -> None:
         kind = pkt.kind
         if kind is PacketKind.BEACON:
-            self._on_beacon(pkt, sender)
+            self.nbrs.update(sender, pkt.src_pos, self.engine.sim.now)
         elif kind is PacketKind.DATA:
             self.forward(pkt)
         elif kind is PacketKind.RREQ:
-            self.core.handle_rreq(pkt, sender)
+            core = self.core
+            # Most receptions of a flood are repeats: skip them without a call.
+            if (pkt.origin, pkt.aodv.rreq_id) not in core.seen:
+                core.handle_rreq(pkt, sender)
         elif kind is PacketKind.RREP:
             self.core.handle_rrep(pkt, sender)
         # RERR is never generated in this protocol; ignore strays.

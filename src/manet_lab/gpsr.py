@@ -140,9 +140,6 @@ class BeaconMixin:
                                                    self._beacon_jitter))
         engine.schedule_timer(self.node, max(1, gap), ("beacon",))
 
-    def _on_beacon(self, pkt: Packet, sender: int):
-        self.nbrs.update(sender, pkt.src_pos, self.engine.now)
-
 
 class GpsrNode(BeaconMixin):
     """Per-node forwarding state: just the beacon-fed neighbor table."""
@@ -166,7 +163,7 @@ class GpsrNode(BeaconMixin):
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
         if pkt.kind is PacketKind.BEACON:
-            self._on_beacon(pkt, sender)
+            self.nbrs.update(sender, pkt.src_pos, self.engine.sim.now)
         elif pkt.kind is PacketKind.DATA:
             self.forward(pkt, arrived_from=sender)
 

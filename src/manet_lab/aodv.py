@@ -102,7 +102,7 @@ class ReactiveCore:
     The owner supplies two hooks: `send_on_route(pkt, entry)` sends a
     packet along a ready route (the core calls it for each buffered packet
     once discovery succeeds), and `on_link_failure(next_hop, pkt)` handles a
-    dead link (the core calls it when forwarding a route reply fails).
+    dead link (the core calls it when a route hop or a route reply fails).
     """
 
     def __init__(self, engine, node: int, owner):
@@ -119,6 +119,27 @@ class ReactiveCore:
         self._control_size = cfg.control_size_bytes
         self._retries = cfg.discovery_retries
         self._buffer_cap = cfg.buffer_cap
+        per_hop = engine.radio.tx_delay_us(self._control_size) \
+            + us(cfg.processing_delay_s)
+        self._discovery_timeout = max(us(DISCOVERY_TIMEOUT_FLOOR_S),
+                                      2 * self._rreq_ttl * per_hop)
+
+    # -- forwarding ------------------------------------------------------
+
+    def forward(self, pkt: Packet, entry: RouteEntry, tag: str) -> None:
+        """One hop along a route: refresh its lifetime, then unicast to the
+        next hop; `tag` labels the hop in the engine's hop log."""
+        engine = self.engine
+        if pkt.ttl < 1:
+            engine.drop(pkt, DropCause.TTL)
+            return
+        pkt.ttl -= 1
+        self.table.refresh(entry, engine.now)
+        outcome = engine.radio.unicast(self.node, entry.next_hop, pkt)
+        if outcome.status is TxStatus.LINK_FAILURE:
+            self.owner.on_link_failure(entry.next_hop, pkt)
+        else:
+            engine.note_hop(pkt, self.node, tag)
 
     # -- discovery -----------------------------------------------------
 
@@ -135,11 +156,6 @@ class ReactiveCore:
             oldest = d.buffer.popleft()
             self.engine.drop(oldest, DropCause.BUFFER)
 
-    def _timeout_us(self) -> SimTime:
-        per_hop = self.engine.radio.tx_delay_us(self._control_size) \
-            + us(self.engine.scenario.processing_delay_s)
-        return max(us(DISCOVERY_TIMEOUT_FLOOR_S), 2 * self._rreq_ttl * per_hop)
-
     def _flood(self, dst: int, d: _Discovery) -> None:
         now = self.engine.now
         self.seq += 1
@@ -155,7 +171,7 @@ class ReactiveCore:
         self.seen[(self.node, self.next_rreq_id)] = now
         self.engine.note_flood(self.node, dst)
         self.engine.radio.broadcast(self.node, pkt)
-        d.timer = self.engine.schedule_timer(self.node, self._timeout_us(),
+        d.timer = self.engine.schedule_timer(self.node, self._discovery_timeout,
                                              ("discovery", dst))
 
     def on_discovery_timeout(self, dst: int) -> None:
@@ -298,16 +314,7 @@ class AodvNode:
             self.core.buffer_and_discover(pkt.final_dst, pkt)
 
     def send_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
-        if pkt.ttl < 1:
-            self.engine.drop(pkt, DropCause.TTL)
-            return
-        pkt.ttl -= 1
-        self.core.table.refresh(entry, self.engine.now)
-        outcome = self.engine.radio.unicast(self.node, entry.next_hop, pkt)
-        if outcome.status is TxStatus.LINK_FAILURE:
-            self.on_link_failure(entry.next_hop, pkt)
-        else:
-            self.engine.note_hop(pkt, self.node, "aodv")
+        self.core.forward(pkt, entry, "aodv")
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
         kind = pkt.kind

@@ -95,23 +95,11 @@ def _derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class RngStream(random.Random):
+def rng_stream(seed: int, label: str) -> random.Random:
     """Seeded substream named after the stochastic concern it feeds.
 
     The same (seed, label) pair yields the same draw sequence on every
     platform; distinct labels give independent substreams, so changing one
     knob (say, jitter) never perturbs draws consumed elsewhere.
     """
-
-    # Random ignores a seed given to __new__; __init__ below seeds the stream.
-    def __new__(cls, seed: int, label: str):
-        return super().__new__(cls, _derive_seed(seed, label))
-
-    def __init__(self, seed: int, label: str):
-        self.base_seed = seed
-        self.label = label
-        super().__init__(_derive_seed(seed, label))
-
-
-def rng_stream(seed: int, label: str) -> RngStream:
-    return RngStream(seed, label)
+    return random.Random(_derive_seed(seed, label))

@@ -28,10 +28,7 @@ class CrpNode(BeaconMixin):
         cfg = engine.scenario
         self.escape_cache_enabled = cfg.escape_cache
         self.reanchor_on_route_loss = cfg.reanchor_on_route_loss
-        self._init_beacons(engine, node)
-
-    def start(self) -> None:
-        self._start_beacons()
+        self._init_beacons(engine)
 
     def on_timer(self, payload) -> None:
         if payload[0] == "discovery":
@@ -80,7 +77,7 @@ class CrpNode(BeaconMixin):
                 else:
                     engine.drop(pkt, DropCause.LINK_FAILURE)
             else:
-                self._forward_on_route(pkt, entry)
+                self.core.forward(pkt, entry, "aodv_route")
 
     def _forward_greedy(self, pkt: Packet) -> None:
         engine = self.engine
@@ -100,16 +97,6 @@ class CrpNode(BeaconMixin):
             pkt.ttl += 1  # the hop did not happen
             self._forget_link(nh)
         engine.drop(pkt, DropCause.LINK_FAILURE)
-
-    def _forward_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
-        engine = self.engine
-        pkt.ttl -= 1
-        self.core.table.refresh(entry, engine.now)
-        outcome = engine.radio.unicast(self.node, entry.next_hop, pkt)
-        if outcome.status is TxStatus.DELIVERED:
-            engine.note_hop(pkt, self.node, "aodv_route")
-        else:
-            self.on_link_failure(entry.next_hop, pkt)
 
     def on_local_maximum(self, pkt: Packet) -> None:
         """Greedy has no closer neighbor here: ride a cached escape route if
@@ -133,7 +120,7 @@ class CrpNode(BeaconMixin):
 
     def send_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
         self._switch_to_route(pkt)
-        self._forward_on_route(pkt, entry)
+        self.core.forward(pkt, entry, "aodv_route")
 
     def on_link_failure(self, next_hop: int, pkt: Packet) -> None:
         # No recovery: invalidate quietly and send no RERR; data is lost.

@@ -15,7 +15,7 @@ from .gpsr import GpsrNode
 from .metrics import DropCause, MetricsRow, RunMetrics
 from .mobility import WaypointTrace, position_at, random_waypoint_trace
 from .packets import Packet, PacketKind
-from .radio import Radio, RadioConfig
+from .radio import Radio
 from .scenario import Scenario
 from .traffic import CbrStream, make_streams
 
@@ -56,18 +56,13 @@ class Engine:
             streams = streams if streams is not None else []
         self.traces = traces if traces is not None else build_traces(scenario)
         self.streams = streams if streams is not None else build_streams(scenario)
-        self.radio = Radio(
-            RadioConfig(scenario.radio_range, scenario.bandwidth_bps,
-                        scenario.processing_delay_s, scenario.jitter_max_s),
-            self.position_at_time, self.coords_at, self.sim, self.metrics,
-            self.rng_jitter)
+        self.radio = Radio(scenario, self.position_at_time, self.coords_at,
+                           self.sim, self.metrics, self.rng_jitter)
         self._uids = itertools.count()
         self.protocols = [self._make_protocol(i) for i in range(scenario.n_nodes)]
         self.flood_log: list[tuple[int, int, SimTime]] = []
         self.hop_log: dict[int, list[tuple[int, SimTime, str]]] | None = \
             {} if record_hops else None
-        self._pos_cache_t: SimTime = -1
-        self._pos_cache: dict[int, Position] = {}
         self._coords_t: SimTime = -1
         self._xs = [0.0] * len(self.traces)
         self._ys = [0.0] * len(self.traces)
@@ -89,16 +84,8 @@ class Engine:
         return self.sim.now
 
     def position_at_time(self, node: int, t: SimTime) -> Position:
-        # Sends cluster at identical instants (flood waves share delays), so
-        # memoizing the current instant saves most trace interpolation.
-        if t != self._pos_cache_t:
-            self._pos_cache_t = t
-            self._pos_cache = {}
-        pos = self._pos_cache.get(node)
-        if pos is None:
-            pos = position_at(self.traces[node], t)
-            self._pos_cache[node] = pos
-        return pos
+        # Each trace's leg cursor answers repeat queries at one instant.
+        return position_at(self.traces[node], t)
 
     def coords_at(self, t: SimTime) -> tuple[list[float], list[float]]:
         """Every node's coordinates at t as flat x and y lists indexed by node.

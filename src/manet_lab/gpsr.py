@@ -112,16 +112,17 @@ def perimeter_next_hop(self_pos: Position, planar: list[NeighborEntry],
 
 class BeaconMixin:
     """Periodic position beaconing on a ("beacon",) timer, shared by the
-    geographic protocols; the owner's `on_timer` calls `on_beacon_tick`."""
+    geographic protocols: `start` schedules the first beacon, and the
+    owner's `on_timer` calls `on_beacon_tick`."""
 
-    def _init_beacons(self, engine, node):
+    def _init_beacons(self, engine):
         cfg = engine.scenario
         self._beacon_interval = us(cfg.beacon_interval_s)
         self._beacon_jitter = us(cfg.beacon_jitter_s)
         self._beacon_size = cfg.beacon_size_bytes
         self.nbrs = NeighborTable(us(cfg.neighbor_timeout_s))
 
-    def _start_beacons(self):
+    def start(self):
         first = round(self.engine.rng_beacon.uniform(0, self._beacon_interval))
         self.engine.schedule_timer(self.node, first, ("beacon",))
 
@@ -148,10 +149,7 @@ class GpsrNode(BeaconMixin):
         self.engine = engine
         self.node = node
         self.perimeter_enabled = engine.scenario.protocol != "gpsr_greedy_only"
-        self._init_beacons(engine, node)
-
-    def start(self) -> None:
-        self._start_beacons()
+        self._init_beacons(engine)
 
     def on_timer(self, payload) -> None:
         if payload[0] == "beacon":

@@ -9,7 +9,7 @@ delivered, dropped with a cause, or in flight when the run ends.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import SimTime

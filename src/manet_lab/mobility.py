@@ -9,10 +9,11 @@ finds its leg by binary search. `WaypointTrace.coords_at` returns raw
 `position_at` wraps the same computation in a `Position`.
 """
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import RngStream, SimTime, us
+from .core import SimTime, us
 from .errors import OutOfTraceRange
 from .geometry import Position, dist
 
@@ -76,7 +77,7 @@ class WaypointTrace:
 
 def random_waypoint_trace(area_width: float, area_height: float, speed: float,
                           pause_s: float, duration_s: float,
-                          rng: RngStream, node: int = 0) -> WaypointTrace:
+                          rng: random.Random, node: int = 0) -> WaypointTrace:
     """Build a trace: uniform waypoints, fixed speed, fixed pause at each stop.
 
     The node starts paused at a uniform initial position, then repeatedly

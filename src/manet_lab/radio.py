@@ -15,21 +15,15 @@ received broadcast copies it first with `clone`, which this module exports
 beside that rule.
 """
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from math import hypot
 
-from .core import EventKind, RngStream, SimTime, Simulator, us
+from .core import EventKind, SimTime, Simulator, us
 from .geometry import dist
 from .packets import Packet, clone
-
-
-@dataclass
-class RadioConfig:
-    range_m: float = 250.0
-    bandwidth_bps: float = 2_000_000.0
-    processing_delay_s: float = 0.001
-    jitter_max_s: float = 0.0  # per-receiver uniform jitter in [0, jitter_max]
+from .scenario import Scenario
 
 
 class TxStatus(Enum):
@@ -46,25 +40,29 @@ class TxOutcome:
 class Radio:
     """Broadcast/unicast primitives over the instantaneous connectivity graph.
 
+    The scenario gives `radio_range`, `bandwidth_bps`, `processing_delay_s`
+    and `jitter_max_s` (per-receiver uniform jitter in [0, jitter_max_s]).
     `position_fn(node, t)` gives one node's `Position`; `coords_fn(t)` gives
     every node's coordinates as flat `(xs, ys)` lists indexed by node id.
     """
 
-    def __init__(self, config: RadioConfig, position_fn, coords_fn,
-                 sim: Simulator, metrics, jitter_rng: RngStream):
-        self.config = config
+    def __init__(self, scenario: Scenario, position_fn, coords_fn,
+                 sim: Simulator, metrics, jitter_rng: random.Random):
+        self._range = scenario.radio_range
+        self._bandwidth = scenario.bandwidth_bps
+        self._jitter_max_s = scenario.jitter_max_s
         self._position = position_fn
         self._coords = coords_fn
         self._sim = sim
         self._metrics = metrics
         self._jitter = jitter_rng
-        self._proc_us = us(config.processing_delay_s)
-        self._jitter_us = us(config.jitter_max_s)
+        self._proc_us = us(scenario.processing_delay_s)
+        self._jitter_us = us(scenario.jitter_max_s)
         self._delay_cache: dict[int, int] = {}
 
     def tx_delay(self, size_bytes: int) -> float:
         """Serialization delay in seconds: size * 8 / bandwidth."""
-        return size_bytes * 8 / self.config.bandwidth_bps
+        return size_bytes * 8 / self._bandwidth
 
     def tx_delay_us(self, size_bytes: int) -> SimTime:
         cached = self._delay_cache.get(size_bytes)
@@ -78,13 +76,13 @@ class Radio:
         xs, ys = self._coords(t)
         hx = xs[node]
         hy = ys[node]
-        rng = self.config.range_m
+        rng = self._range
         # hypot(here - other) is exactly geometry.dist(here, other).
         return [other for other, (x, y) in enumerate(zip(xs, ys))
                 if hypot(hx - x, hy - y) <= rng and other != node]
 
     def _jitter_draw(self) -> SimTime:
-        return us(self._jitter.uniform(0.0, self.config.jitter_max_s))
+        return us(self._jitter.uniform(0.0, self._jitter_max_s))
 
     def broadcast(self, sender: int, pkt: Packet) -> list[tuple[int, SimTime]]:
         """Deliver pkt to every current neighbor; one transmission regardless."""
@@ -110,7 +108,7 @@ class Radio:
         self._metrics.record_transmission(pkt.kind, is_broadcast=False)
         here = self._position(sender, t)
         there = self._position(next_hop, t)
-        if dist(here, there) > self.config.range_m:
+        if dist(here, there) > self._range:
             return TxOutcome(TxStatus.LINK_FAILURE)
         rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
         if self._jitter_us > 0:

@@ -1,14 +1,18 @@
 """Flat `key = value` scenario files and their validated in-memory form."""
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from math import hypot, isfinite
 from pathlib import Path
 
-from .core import us
+from .core import US_PER_S, us
 from .errors import ParseError, ValidationError
 
 PROTOCOLS = ("aodv", "gpsr", "crp", "gpsr_greedy_only")
+
+# Upper bound on the estimated random-waypoint legs over all traces.
+MAX_TRACE_LEGS = 1_000_000
 
 _TRUE = {"on", "true", "yes", "1"}
 _FALSE = {"off", "false", "no", "0"}
@@ -58,7 +62,9 @@ class Scenario:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Scenario)}
-_FLOATS = [name for name, f in _FIELDS.items() if f.type is float]
+_NUMBERS = [name for name, f in _FIELDS.items() if f.type in (int, float)]
+_SECONDS = [name for name in _NUMBERS if name.endswith("_s")]
+_FLOAT_MAX = sys.float_info.max
 
 _POSITIVE = [
     "n_nodes", "area_width", "area_height", "radio_range",
@@ -126,9 +132,10 @@ def validate_scenario(sc: Scenario) -> None:
         raise ValidationError(
             f"unsupported protocol {sc.protocol!r}; choose one of {', '.join(PROTOCOLS)}",
             field="protocol")
-    # NaN passes every sign check below, and inf passes the lower bounds.
-    for fname in _FLOATS:
-        if not isfinite(getattr(sc, fname)):
+    # NaN passes every sign check below, inf passes the lower bounds, and an
+    # int past the float range breaks the float arithmetic below.
+    for fname in _NUMBERS:
+        if not -_FLOAT_MAX <= getattr(sc, fname) <= _FLOAT_MAX:
             raise ValidationError("must be a finite number", field=fname)
     for fname in _POSITIVE:
         if getattr(sc, fname) <= 0:
@@ -138,15 +145,23 @@ def validate_scenario(sc: Scenario) -> None:
             raise ValidationError("must not be negative", field=fname)
     if sc.n_nodes < 2:
         raise ValidationError("need at least two nodes", field="n_nodes")
-    # Finite inputs can still overflow these quotients (rate_pps = 1e-320).
+    # Every time the run converts to integer microseconds must stay finite
+    # in microseconds, or us() raises OverflowError mid-run. Finite inputs
+    # can still overflow: rate_pps = 1e-303 or bandwidth_bps = 1e-300.
     interval_s = 1.0 / sc.rate_pps
-    if not isfinite(interval_s):
-        raise ValidationError("packet interval 1/rate_pps overflows",
-                              field="rate_pps")
     diagonal_s = hypot(sc.area_width, sc.area_height) / sc.speed_mps
-    if not isfinite(diagonal_s):
-        raise ValidationError("a leg across the whole area takes longer than "
-                              "a float can hold", field="speed_mps")
+    largest = max(sc.packet_size_bytes, sc.control_size_bytes,
+                  sc.hello_size_bytes, sc.beacon_size_bytes)
+    times = [(fname, getattr(sc, fname), "the value") for fname in _SECONDS] + [
+        ("rate_pps", interval_s, "the packet interval 1/rate_pps"),
+        ("speed_mps", diagonal_s, "a leg across the whole area"),
+        ("bandwidth_bps", largest * 8 / sc.bandwidth_bps,
+         "the on-air time of the largest packet"),
+    ]
+    for fname, seconds, what in times:
+        if not isfinite(seconds * US_PER_S):
+            raise ValidationError(f"{what} overflows when converted to "
+                                  "microseconds", field=fname)
     # Periods that round to 0 us would re-fire at the same instant forever.
     if us(interval_s) == 0:
         raise ValidationError("packet interval 1/rate_pps rounds to 0 us",
@@ -158,6 +173,17 @@ def validate_scenario(sc: Scenario) -> None:
     if us(sc.pause_s) == 0 and us(diagonal_s) == 0:
         raise ValidationError("even a leg across the whole area takes 0 us "
                               "and pause_s rounds to 0 us", field="speed_mps")
+    # Bound the legs the traces need. The mean distance between two uniform
+    # waypoints is at least the mean |dx| = width / 3 (and |dy| = height / 3),
+    # so the estimate is not below the expected leg count, give or take the
+    # first leg of each trace. The rule above keeps the divisor positive.
+    leg_s = sc.pause_s + max(sc.area_width, sc.area_height) / sc.speed_mps / 3
+    legs = sc.n_nodes * sc.duration_s / leg_s
+    if legs > MAX_TRACE_LEGS:
+        raise ValidationError(
+            f"the mobility traces would need about {legs:.3g} legs, more "
+            f"than {MAX_TRACE_LEGS:,}; shorten the run, lengthen pause_s or "
+            "lower speed_mps", field="duration_s")
 
 
 def format_scenario(sc: Scenario, comment: bool = False) -> str:

@@ -1,8 +1,9 @@
 """Constant-rate traffic over randomly selected node pairs."""
 
+import random
 from dataclasses import dataclass
 
-from .core import RngStream, SimTime, us
+from .core import SimTime, us
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class CbrStream:
 
 def make_streams(n_streams: int, n_nodes: int, packet_size: int,
                  interval_s: float, duration_s: float,
-                 pair_rng: RngStream, start_rng: RngStream,
+                 pair_rng: random.Random, start_rng: random.Random,
                  start_window_s: float = 10.0) -> list[CbrStream]:
     """Draw src/dst pairs uniformly (no self-pairs), staggering starts
     uniformly over the first `start_window_s` seconds."""

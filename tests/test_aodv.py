@@ -38,6 +38,9 @@ def test_chain_discovery_installs_bfs_route():
     # the delivered packet walked exactly the BFS distance
     hops = [h for h in engine.hop_log[0] if h[2] == "aodv"]
     assert len(hops) == 3
+    assert [(node, tag) for node, _, tag in engine.hop_log[0]] == [
+        (0, "originated"), (0, "aodv"), (1, "aodv"), (2, "aodv"),
+        (3, "delivered")]
 
 
 def test_loop_freedom_along_installed_route():

@@ -67,6 +67,26 @@ def test_validate_zero_us_period_exits_1(tmp_path, capsys, monkeypatch, text, fi
     # finite values whose derived periods overflow to inf
     ("rate_pps = 1e-320\n", "rate_pps"),
     ("speed_mps = 5e-324\npause_s = 0\n", "speed_mps"),
+    # finite values that overflow when converted to microseconds
+    ("bandwidth_bps = 1e-300\n", "bandwidth_bps"),
+    ("processing_delay_s = 1e303\n", "processing_delay_s"),
+    ("beacon_interval_s = 1e303\n", "beacon_interval_s"),
+    ("beacon_jitter_s = 1e303\n", "beacon_jitter_s"),
+    ("neighbor_timeout_s = 1e303\n", "neighbor_timeout_s"),
+    ("route_lifetime_s = 1e303\n", "route_lifetime_s"),
+    ("jitter_max_s = 1e303\n", "jitter_max_s"),
+    ("duration_s = 1e303\n", "duration_s"),
+    ("pause_s = 1e303\n", "pause_s"),
+    ("hello_interval_s = 1e303\n", "hello_interval_s"),
+    ("rate_pps = 1e-303\n", "rate_pps"),
+    ("speed_mps = 1e-302\npause_s = 0\n", "speed_mps"),
+    ("traffic_start_window_s = 1e303\n", "traffic_start_window_s"),
+    # an int past the float range
+    pytest.param("packet_size_bytes = 1" + "0" * 400 + "\n", "packet_size_bytes",
+                 id="packet_size_bytes = 10**400"),
+    # finite values whose mobility traces would need too many legs
+    ("duration_s = 1e300\n", "duration_s"),
+    ("speed_mps = 1e9\npause_s = 0\n", "duration_s"),
 ])
 def test_validate_non_finite_exits_1(tmp_path, capsys, monkeypatch, text, field):
     import manet_lab.cli as cli_mod

@@ -129,9 +129,3 @@ def test_rng_uniform_mean():
     n = 1_000_000
     mean = sum(stream.random() for _ in range(n)) / n
     assert abs(mean - 0.5) < 0.002, f"sample mean {mean} too far from 0.5"
-
-
-def test_rng_carries_identity():
-    s = rng_stream(42, "jitter")
-    assert s.base_seed == 42
-    assert s.label == "jitter"

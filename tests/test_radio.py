@@ -6,7 +6,8 @@ from manet_lab.core import EventKind, Simulator, rng_stream, us
 from manet_lab.geometry import Position, dist
 from manet_lab.metrics import RunMetrics
 from manet_lab.packets import Packet, PacketKind
-from manet_lab.radio import Radio, RadioConfig, TxStatus
+from manet_lab.radio import Radio, TxStatus
+from manet_lab.scenario import Scenario
 
 from conftest import random_positions, unit_disk_adj
 
@@ -15,7 +16,7 @@ def build_radio(positions, config=None, seed=1):
     sim = Simulator()
     sim.handler = lambda ev: None
     metrics = RunMetrics()
-    cfg = config or RadioConfig()
+    cfg = config or Scenario()
     xs = [positions[node].x for node in range(len(positions))]
     ys = [positions[node].y for node in range(len(positions))]
     radio = Radio(cfg, lambda node, t: positions[node], lambda t: (xs, ys),
@@ -120,7 +121,7 @@ def test_broadcast_receive_time_no_jitter():
 
 def test_broadcast_jitter_range_and_spread():
     positions = {i: Position(0, i) for i in range(21)}
-    config = RadioConfig(jitter_max_s=0.005)
+    config = Scenario(jitter_max_s=0.005)
     radio, _, _ = build_radio(positions, config=config)
     base = us(0.002048) + us(0.001)
     times = []
@@ -162,7 +163,7 @@ def test_mobile_receiver_outcome_decided_at_send_time():
 
     sim = Simulator()
     sim.handler = lambda ev: None
-    radio = Radio(RadioConfig(), moving, moving_coords, sim, RunMetrics(),
+    radio = Radio(Scenario(), moving, moving_coords, sim, RunMetrics(),
                   rng_stream(1, "jitter"))
     assert radio.unicast(0, 1, data_packet()).status is TxStatus.DELIVERED
     sim.run_until(us(0.5))

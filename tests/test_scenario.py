@@ -123,8 +123,10 @@ def test_trace_generation_that_cannot_end_rejected():
     with pytest.raises(ValidationError):
         parse_scenario("speed_mps = 1e12\npause_s = 1e-7\n")
     # A pause of 1 us, or a diagonal leg of 1 us, lets the clock advance.
-    assert parse_scenario("speed_mps = 1e12\npause_s = 1e-6\n").pause_s == 1e-6
-    assert parse_scenario("speed_mps = 1e9\npause_s = 0\n").speed_mps == 1e9
+    # The runs are 1 ms long, so the trace-size bound does not apply.
+    short = "duration_s = 0.001\n"
+    assert parse_scenario("speed_mps = 1e12\npause_s = 1e-6\n" + short).pause_s == 1e-6
+    assert parse_scenario("speed_mps = 1e9\npause_s = 0\n" + short).speed_mps == 1e9
 
 
 def test_readme_key_table_names_every_field():

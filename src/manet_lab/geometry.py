@@ -54,5 +54,8 @@ def sweep_from_ray(pivot: Position, toward: Position, cand: Position) -> float:
     This is the ordering the right-hand rule needs: the next face edge is the
     first one counterclockwise about the pivot from the edge pointing back at
     the previous hop (or toward the destination on face entry).
+    `gpsr.perimeter_next_hop` inlines this formula, with the reference ray's
+    angle taken once per call; this function is the reference it is tested
+    against.
     """
     return (ccw_angle((pivot, toward), (pivot, cand)) + math.pi) % TWO_PI

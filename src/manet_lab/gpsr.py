@@ -9,9 +9,10 @@ where the walk began, then goes greedy again.
 """
 
 from dataclasses import dataclass
+from math import atan2, pi
 
 from .core import SimTime, us
-from .geometry import TWO_PI, Position, dist, dist_sq, sweep_from_ray
+from .geometry import TWO_PI, Position, dist, dist_sq
 from .metrics import DropCause
 from .packets import GeoHeader, GeoMode, Packet, PacketKind
 from .radio import TxStatus
@@ -25,28 +26,47 @@ class NeighborEntry:
 
 
 class NeighborTable:
+    """Beacon-fed neighbor positions. `fresh` keeps its sorted survivor list
+    until an entry is inserted or evicted, or until the earliest cached
+    entry times out; refreshing a known neighbor mutates its entry in place
+    and so leaves the list valid."""
+
     def __init__(self, timeout_us: SimTime):
         self.timeout_us = timeout_us
         self.entries: dict[int, NeighborEntry] = {}
+        self._fresh: list[NeighborEntry] | None = None
+        # _fresh stays valid through this instant, the earliest
+        # last_heard + timeout_us among its entries; a refresh only moves
+        # an entry's own deadline later
+        self._fresh_until: SimTime = 0
 
     def update(self, neighbor: int, pos: Position, now: SimTime) -> None:
         e = self.entries.get(neighbor)
         if e is None:
             self.entries[neighbor] = NeighborEntry(neighbor, pos, now)
+            self._fresh = None
         else:
             e.pos = pos
             e.last_heard = now
 
     def evict(self, neighbor: int) -> None:
-        self.entries.pop(neighbor, None)
+        if self.entries.pop(neighbor, None) is not None:
+            self._fresh = None
 
     def fresh(self, now: SimTime) -> list[NeighborEntry]:
-        """Drop timed-out entries, then return the survivors sorted by id."""
+        """Drop timed-out entries, then return the survivors sorted by id.
+        The list is shared between calls: callers must not modify it."""
+        if self._fresh is not None and now <= self._fresh_until:
+            return self._fresh
         horizon = now - self.timeout_us
         stale = [n for n, e in self.entries.items() if e.last_heard < horizon]
         for n in stale:
             del self.entries[n]
-        return [self.entries[n] for n in sorted(self.entries)]
+        survivors = [self.entries[n] for n in sorted(self.entries)]
+        self._fresh = survivors
+        self._fresh_until = (min(e.last_heard for e in survivors) + self.timeout_us
+                             if survivors else now)
+        return survivors
 
 
 def greedy_next_hop(self_pos: Position, neighbors: list[NeighborEntry],
@@ -70,14 +90,14 @@ def planarize_gg(self_pos: Position,
                  neighbors: list[NeighborEntry]) -> list[NeighborEntry]:
     """Gabriel rule over the local view: keep the edge to v unless some other
     neighbor sits strictly inside the circle whose diameter is (self, v)."""
+    to_self = [dist_sq(self_pos, w.pos) for w in neighbors]
     kept = []
-    for v in neighbors:
-        sv = dist_sq(self_pos, v.pos)
+    for v, sv in zip(neighbors, to_self):
         ok = True
-        for w in neighbors:
+        for w, sw in zip(neighbors, to_self):
             if w.neighbor == v.neighbor:
                 continue
-            if dist_sq(self_pos, w.pos) + dist_sq(w.pos, v.pos) < sv:
+            if sw + dist_sq(w.pos, v.pos) < sv:
                 ok = False
                 break
         if ok:
@@ -90,8 +110,15 @@ def perimeter_next_hop(self_pos: Position, planar: list[NeighborEntry],
     """Right-hand-rule choice: first planar edge counterclockwise about self
     from the ray toward ref_pos (the previous hop, or the destination when
     the walk starts here). The arrival edge itself is the last resort, which
-    handles degenerate single-edge faces by sending the packet back."""
+    handles degenerate single-edge faces by sending the packet back.
+
+    The sweep is `geometry.sweep_from_ray(self_pos, ref_pos, e.pos)` written
+    out, with the reference ray's angle taken once per call."""
+    sx, sy = self_pos.x, self_pos.y
     degenerate_ref = ref_pos == self_pos  # coincident points define no ray
+    if not degenerate_ref:
+        # angle of the reversed reference ray, as in ccw_angle
+        ref_angle = atan2(sy - ref_pos.y, sx - ref_pos.x)
     best = None
     best_key = None
     for e in planar:
@@ -102,7 +129,8 @@ def perimeter_next_hop(self_pos: Position, planar: list[NeighborEntry],
         elif degenerate_ref:
             sweep = 0.0
         else:
-            sweep = sweep_from_ray(self_pos, ref_pos, e.pos)
+            p = e.pos
+            sweep = ((atan2(p.y - sy, p.x - sx) - ref_angle) % TWO_PI + pi) % TWO_PI
         key = (sweep, e.neighbor)
         if best_key is None or key < best_key:
             best_key = key
@@ -143,13 +171,31 @@ class BeaconMixin:
 
 
 class GpsrNode(BeaconMixin):
-    """Per-node forwarding state: just the beacon-fed neighbor table."""
+    """Per-node forwarding state: the beacon-fed neighbor table and the last
+    Gabriel planarization of it."""
 
     def __init__(self, engine, node: int):
         self.engine = engine
         self.node = node
         self.perimeter_enabled = engine.scenario.protocol != "gpsr_greedy_only"
         self._init_beacons(engine)
+        self._planar_key = None
+        self._planar: list[NeighborEntry] = []
+
+    def planar_view(self, self_pos: Position,
+                    neighbors: list[NeighborEntry]) -> list[NeighborEntry]:
+        """planarize_gg(self_pos, neighbors), recomputed only when self_pos,
+        a neighbor entry or its coordinates differ from the last call. The
+        Gabriel rule reads nothing else. A beacon refreshes its entry in
+        place, so a paused node whose neighbors repeat their coordinates
+        reuses its last result; an entry made anew after an eviction or a
+        timeout misses, so the result holds the table's current entries."""
+        key = (self_pos.x, self_pos.y,
+               [(e, e.pos.x, e.pos.y) for e in neighbors])
+        if key != self._planar_key:
+            self._planar_key = key
+            self._planar = planarize_gg(self_pos, neighbors)
+        return self._planar
 
     def on_timer(self, payload) -> None:
         if payload[0] == "beacon":
@@ -192,7 +238,7 @@ class GpsrNode(BeaconMixin):
                     if not self.perimeter_enabled:
                         engine.drop(pkt, DropCause.PERIMETER)
                         return
-                    planar = planarize_gg(self_pos, neighbors)
+                    planar = self.planar_view(self_pos, neighbors)
                     nh = perimeter_next_hop(self_pos, planar, g.dst_pos, None)
                     if nh is None:
                         engine.drop(pkt, DropCause.PERIMETER)
@@ -202,7 +248,7 @@ class GpsrNode(BeaconMixin):
                     g.first_edge = (self.node, nh)
                     entered_here = True
             else:
-                planar = planarize_gg(self_pos, neighbors)
+                planar = self.planar_view(self_pos, neighbors)
                 ref = g.dst_pos
                 if arrived_from is not None:
                     e = self.nbrs.entries.get(arrived_from)

@@ -13,6 +13,9 @@ PROTOCOLS = ("aodv", "gpsr", "crp", "gpsr_greedy_only")
 
 # Upper bound on the estimated random-waypoint legs over all traces.
 MAX_TRACE_LEGS = 1_000_000
+# Upper bound on the data packets all streams emit, n_streams * rate_pps *
+# duration_s. The largest sweep in scenarios/ (25 pkt/s, 500 s) emits 250,000.
+MAX_PACKETS = 10_000_000
 
 _TRUE = {"on", "true", "yes", "1"}
 _FALSE = {"off", "false", "no", "0"}
@@ -184,6 +187,14 @@ def validate_scenario(sc: Scenario) -> None:
             f"the mobility traces would need about {legs:.3g} legs, more "
             f"than {MAX_TRACE_LEGS:,}; shorten the run, lengthen pause_s or "
             "lower speed_mps", field="duration_s")
+    # Bound the traffic too: the run handles every packet the streams emit.
+    packets = sc.n_streams * sc.rate_pps * sc.duration_s
+    if packets > MAX_PACKETS:
+        raise ValidationError(
+            f"the streams would emit about {packets:.3g} packets "
+            f"(n_streams * rate_pps * duration_s), more than {MAX_PACKETS:,}; "
+            "shorten the run, lower rate_pps or lower n_streams",
+            field="duration_s")
 
 
 def format_scenario(sc: Scenario, comment: bool = False) -> str:

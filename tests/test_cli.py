@@ -101,6 +101,23 @@ def test_validate_non_finite_exits_1(tmp_path, capsys, monkeypatch, text, field)
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, code", [
+    # ~30 trace legs, but about 8e303 packets over the 20 streams
+    ("duration_s = 1e302\npause_s = 1e302\n", 1),
+    ("rate_pps = 1e6\n", 1),
+    ("n_streams = 1000000\n", 1),
+    # 20 streams * 4 pkt/s * 125000 s is exactly the bound of 10,000,000
+    ("duration_s = 125000\n", 0),
+    ("duration_s = 125000.001\n", 1),
+])
+def test_validate_bounds_emitted_packets(tmp_path, capsys, text, code):
+    path = write_scn(tmp_path, text)
+    assert main(["validate", str(path)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "rate_pps" in err and "duration_s" in err
+
+
 def test_run_prints_header_echo_and_row(tmp_path, capsys):
     path = write_scn(tmp_path, TINY)
     out_dir = tmp_path / "out"

@@ -4,6 +4,12 @@ The recorded rows elsewhere run full protocols with jitter off and aodv with
 hello mode off. These rows pin jittered arrivals (one event per receiver)
 and hello traffic, from `stage1_load.scn` with seed 3 for 60 s. A change
 that means to keep behaviour must keep them byte for byte.
+
+The geographic rows pin gpsr's per-node caches (the sorted fresh neighbor
+list and the Gabriel planarization) from both sides: on `stage1_load.scn`
+every node pauses for the first 40 s, so beacons repeat coordinates and the
+caches hit; on `stage2_mobility.scn` (pause 0) every node keeps moving, so
+they miss.
 """
 
 import dataclasses
@@ -40,4 +46,33 @@ def test_row_matches_pinned(protocol, jitter, hello, row):
     base = load_scenario(os.path.join(SCENARIO_DIR, "stage1_load.scn"))
     sc = dataclasses.replace(base, protocol=protocol, seed=3, duration_s=60.0,
                              jitter_max_s=jitter, aodv_hello=hello)
+    assert run_one(sc).to_csv_row() == row
+
+
+GEO_GOLDEN = [
+    ("stage1_load", "gpsr",
+     "gpsr,stage1_load,3,30,40.0,4.0,4388,4324,0.9854147675478578,"
+     "9.671267345050879,17026,40,12,0,0,11"),
+    ("stage1_load", "gpsr_greedy_only",
+     "gpsr_greedy_only,stage1_load,3,30,40.0,4.0,4388,4042,0.9211485870556062,"
+     "8.736041563582384,13931,6,10,0,0,330"),
+    ("stage1_load", "crp",
+     "crp,stage1_load,3,30,40.0,4.0,4388,4346,0.9904284412032817,"
+     "9.114511044638748,16828,6,15,19,0,0"),
+    ("stage2_mobility", "gpsr",
+     "gpsr,stage2_mobility,3,30,0.0,4.0,4388,3911,0.8912944393801276,"
+     "9.17049757095372,24019,293,49,0,0,134"),
+    ("stage2_mobility", "gpsr_greedy_only",
+     "gpsr_greedy_only,stage2_mobility,3,30,0.0,4.0,4388,3646,0.8309024612579763,"
+     "7.903398793198026,13288,21,44,0,0,677"),
+    ("stage2_mobility", "crp",
+     "crp,stage2_mobility,3,30,0.0,4.0,4388,4018,0.9156791248860529,"
+     "9.38919387755102,22748,21,65,282,0,0"),
+]
+
+
+@pytest.mark.parametrize("scenario, protocol, row", GEO_GOLDEN)
+def test_geographic_row_matches_pinned(scenario, protocol, row):
+    base = load_scenario(os.path.join(SCENARIO_DIR, f"{scenario}.scn"))
+    sc = dataclasses.replace(base, protocol=protocol, seed=3, duration_s=60.0)
     assert run_one(sc).to_csv_row() == row

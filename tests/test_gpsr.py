@@ -2,9 +2,10 @@
 
 import random
 
+import manet_lab.gpsr as gpsr_mod
 from manet_lab.core import us
 from manet_lab.engine import Engine
-from manet_lab.geometry import Position, dist
+from manet_lab.geometry import TWO_PI, Position, dist, sweep_from_ray
 from manet_lab.gpsr import (NeighborEntry, NeighborTable, greedy_next_hop,
                             perimeter_next_hop, planarize_gg)
 from manet_lab.scenario import Scenario
@@ -236,3 +237,143 @@ def test_greedy_link_failure_evicts_and_retries_once():
     for hops in engine.hop_log.values():
         routes.add(tuple(n for (n, _, tag) in hops if tag == "greedy"))
     assert (0, 1, 2) in routes and (0, 1, 3) in routes
+
+
+# -- the per-node caches and the inlined sweep against uncached references --
+
+class UncachedTable:
+    """NeighborTable without the kept list: every fresh() purges and sorts."""
+
+    def __init__(self, timeout_us):
+        self.timeout_us = timeout_us
+        self.entries = {}
+
+    def update(self, neighbor, pos, now):
+        e = self.entries.get(neighbor)
+        if e is None:
+            self.entries[neighbor] = NeighborEntry(neighbor, pos, now)
+        else:
+            e.pos = pos
+            e.last_heard = now
+
+    def evict(self, neighbor):
+        self.entries.pop(neighbor, None)
+
+    def fresh(self, now):
+        horizon = now - self.timeout_us
+        for n in [n for n, e in self.entries.items() if e.last_heard < horizon]:
+            del self.entries[n]
+        return [self.entries[n] for n in sorted(self.entries)]
+
+
+def random_table_step(rng, tables, now, n_ids=8):
+    """Apply one random update, eviction or clock advance to every table in
+    `tables` alike (the first one is the reference) and return the new now.
+    A heard neighbor is new, repeats its position or has moved; the clock
+    lands on an entry's timeout deadline, one microsecond past it, or
+    anywhere in the next 1.5 s."""
+    ref = tables[0]
+    n = rng.randrange(n_ids)
+    op = rng.random()
+    if op < 0.4:
+        old = ref.entries.get(n)
+        if old is not None and rng.random() < 0.5:
+            pos = Position(old.pos.x, old.pos.y)
+        else:
+            pos = Position(rng.uniform(0, 500), rng.uniform(0, 500))
+        for t in tables:
+            t.update(n, pos, now)
+    elif op < 0.55:
+        for t in tables:
+            t.evict(n)
+    else:
+        deadlines = [e.last_heard + ref.timeout_us for e in ref.entries.values()
+                     if e.last_heard + ref.timeout_us >= now]
+        pick = rng.random()
+        if deadlines and pick < 0.3:
+            now = rng.choice(deadlines)
+        elif deadlines and pick < 0.6:
+            now = rng.choice(deadlines) + 1
+        else:
+            now += rng.randrange(us(1.5))
+    return now
+
+
+def test_fresh_cache_matches_uncached_table():
+    rng = random.Random(8)
+    for _ in range(20):
+        ref, table = UncachedTable(us(4.5)), NeighborTable(us(4.5))
+        now = 0
+        for _ in range(400):
+            now = random_table_step(rng, (ref, table), now)
+            if rng.random() < 0.8:  # purges are lazy, so also skip some reads
+                assert table.fresh(now) == ref.fresh(now)
+                assert table.entries == ref.entries
+
+
+def test_planar_cache_matches_planarize_gg(monkeypatch):
+    rng = random.Random(13)
+    engine = static_engine({0: Position(0, 0), 1: Position(100, 0)}, "gpsr",
+                           duration_s=1.0, streams=[])
+    node = engine.protocols[0]
+    node.nbrs = NeighborTable(us(4.5))
+    misses = []
+
+    def counted(self_pos, neighbors):
+        misses.append(1)
+        return planarize_gg(self_pos, neighbors)
+
+    monkeypatch.setattr(gpsr_mod, "planarize_gg", counted)
+    self_pos = Position(250, 250)
+    now = calls = 0
+    for _ in range(3000):
+        now = random_table_step(rng, (node.nbrs,), now)
+        if rng.random() < 0.1:
+            self_pos = Position(rng.uniform(0, 500), rng.uniform(0, 500))
+        elif rng.random() < 0.1:
+            self_pos = Position(self_pos.x, self_pos.y)  # same floats, new object
+        fresh = node.nbrs.fresh(now)
+        assert node.planar_view(self_pos, fresh) == planarize_gg(self_pos, list(fresh))
+        calls += 1
+    assert 0 < len(misses) < calls, "both the hit and the miss path ran"
+
+
+def reference_perimeter(self_pos, planar, ref_pos, arrived_from):
+    keys = []
+    for e in planar:
+        if e.pos == self_pos:
+            continue
+        if e.neighbor == arrived_from:
+            sweep = TWO_PI
+        elif ref_pos == self_pos:
+            sweep = 0.0
+        else:
+            sweep = sweep_from_ray(self_pos, ref_pos, e.pos)
+        keys.append((sweep, e.neighbor))
+    return min(keys)[1] if keys else None
+
+
+def test_perimeter_matches_sweep_from_ray_argmin():
+    rng = random.Random(21)
+
+    def point():
+        # grid points give collinear candidates, equal sweeps and
+        # coincident positions; uniform ones give general angles
+        if rng.random() < 0.5:
+            return Position(rng.randint(-3, 3) * 50.0, rng.randint(-3, 3) * 50.0)
+        return Position(rng.uniform(-150, 150), rng.uniform(-150, 150))
+
+    for _ in range(3000):
+        self_pos = point()
+        planar = entries(*[(i, point()) for i in rng.sample(range(20), rng.randint(0, 7))])
+        pick = rng.random()
+        if pick < 0.2:
+            ref_pos = self_pos
+        elif pick < 0.6 and planar:
+            ref_pos = rng.choice(planar).pos
+        else:
+            ref_pos = point()
+        ids = [e.neighbor for e in planar]
+        arrived_from = rng.choice([None, 99] + ids)
+        assert perimeter_next_hop(self_pos, planar, ref_pos, arrived_from) == \
+            reference_perimeter(self_pos, planar, ref_pos, arrived_from)

@@ -109,7 +109,8 @@ def test_periods_rounding_to_zero_us_rejected():
         with pytest.raises(ValidationError) as err:
             parse_scenario(text)
         assert err.value.field == field
-    assert parse_scenario("rate_pps = 1999999\n").rate_pps == 1999999.0
+    # The run is 1 ms long, so the traffic bound does not apply.
+    assert parse_scenario("rate_pps = 1999999\nduration_s = 0.001\n").rate_pps == 1999999.0
     assert parse_scenario("hello_interval_s = 1e-6\n").hello_interval_s == 1e-6
 
 
@@ -136,3 +137,17 @@ def test_readme_key_table_names_every_field():
     for row in table.splitlines()[2:]:
         documented += re.findall(r"`(\w+)`", row.split("|")[1])
     assert sorted(documented) == sorted(f.name for f in dataclasses.fields(Scenario))
+
+
+def test_repo_scenarios_validate_across_their_sweep_grids():
+    # The grids the scenario files document; 25 pkt/s over 500 s is the
+    # most traffic any of them emits.
+    scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
+    grids = [("stage1_load.scn", "rate_pps", [1, 2, 4, 8, 16, 25]),
+             ("stage2_mobility.scn", "pause_s", [0, 10, 20, 40]),
+             ("stage2_mobility.scn", "n_nodes", [30, 50, 100])]
+    for name, field, values in grids:
+        text = (scenario_dir / name).read_text()
+        for value in values:
+            sc = parse_scenario(f"{text}\n{field} = {value}\n")
+            assert getattr(sc, field) == value

@@ -88,12 +88,12 @@ class RouteTable:
 
 
 class _Discovery:
-    __slots__ = ("buffer", "retries_left", "timer")
+    __slots__ = ("dst", "buffer", "retries_left")
 
-    def __init__(self, retries: int):
+    def __init__(self, dst: int, retries: int):
+        self.dst = dst
         self.buffer: deque[Packet] = deque()
         self.retries_left = retries
-        self.timer = None
 
 
 class ReactiveCore:
@@ -146,52 +146,53 @@ class ReactiveCore:
     def buffer_and_discover(self, dst: int, pkt: Packet) -> None:
         d = self.pending.get(dst)
         if d is None:
-            d = _Discovery(self._retries)
+            d = _Discovery(dst, self._retries)
             self.pending[dst] = d
             d.buffer.append(pkt)
-            self._flood(dst, d)
+            self._flood(d)
             return
         d.buffer.append(pkt)
         if len(d.buffer) > self._buffer_cap:
             oldest = d.buffer.popleft()
             self.engine.drop(oldest, DropCause.BUFFER)
 
-    def _flood(self, dst: int, d: _Discovery) -> None:
+    def _flood(self, d: _Discovery) -> None:
         now = self.engine.now
         self.seq += 1
         self.next_rreq_id += 1
-        known = self.table.get(dst)
+        known = self.table.get(d.dst)
         pkt = Packet(
             uid=self.engine.next_uid(), kind=PacketKind.RREQ,
-            origin=self.node, final_dst=dst, created_at=now,
+            origin=self.node, final_dst=d.dst, created_at=now,
             ttl=self._rreq_ttl, size_bytes=self._control_size,
             aodv=AodvHeader(rreq_id=self.next_rreq_id, origin_seq=self.seq,
                             dst_seq=known.dst_seq if known else 0, hop_count=0),
         )
         self.seen[(self.node, self.next_rreq_id)] = now
-        self.engine.note_flood(self.node, dst)
+        self.engine.note_flood(self.node, d.dst)
         self.engine.radio.broadcast(self.node, pkt)
-        d.timer = self.engine.schedule_timer(self.node, self._discovery_timeout,
-                                             ("discovery", dst))
+        self.engine.schedule_timer(self.node, self._discovery_timeout,
+                                   ("discovery", d))
 
-    def on_discovery_timeout(self, dst: int) -> None:
-        d = self.pending.get(dst)
-        if d is None:
+    def on_discovery_timeout(self, d: _Discovery) -> None:
+        dst = d.dst
+        # A flushed discovery's timer still fires, and does nothing. Retries
+        # are scheduled only from here, so a pending d has one live timer.
+        if self.pending.get(dst) is not d:
             return
         if self.table.lookup_active(dst, self.engine.now) is not None:
-            self._flush(dst, d)  # route showed up from another reply
+            self._flush(d)  # route showed up from another reply
             return
         if d.retries_left > 0:
             d.retries_left -= 1
-            self._flood(dst, d)
+            self._flood(d)
             return
         del self.pending[dst]
         for pkt in d.buffer:
             self.engine.drop(pkt, DropCause.DISCOVERY_TIMEOUT)
 
-    def _flush(self, dst: int, d: _Discovery) -> None:
-        if d.timer is not None:
-            self.engine.sim.cancel(d.timer)
+    def _flush(self, d: _Discovery) -> None:
+        dst = d.dst
         del self.pending[dst]
         while d.buffer:
             pkt = d.buffer.popleft()
@@ -253,7 +254,7 @@ class ReactiveCore:
         if self.node == discovery_origin:
             d = self.pending.get(subject)
             if d is not None and self.table.lookup_active(subject, now) is not None:
-                self._flush(subject, d)
+                self._flush(d)
             return
         back = self.table.lookup_active(discovery_origin, now)
         if back is None:

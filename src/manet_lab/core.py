@@ -9,9 +9,8 @@ inputs (scenario plus seed).
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import SchedulingInPast
 
@@ -35,25 +34,25 @@ class EventKind(Enum):
     TRAFFIC_EMIT = "traffic_emit"
 
 
-@dataclass
-class Event:
-    """A queued occurrence; doubles as the cancellation handle."""
+class Event(NamedTuple):
+    """A queued occurrence and its own heap entry: `seq` is unique, so
+    heap comparisons never get past it to `kind`."""
 
     fire_at: SimTime
     seq: int
     kind: EventKind
     target: int | None
     payload: Any = None
-    cancelled: bool = field(default=False, compare=False)
 
 
 class Simulator:
-    """Single-threaded event loop over a (fire_at, seq) ordered heap."""
+    """Single-threaded event loop over a (fire_at, seq) ordered heap.
+    Nothing cancels an event: a handler that no longer wants it returns."""
 
     def __init__(self):
         self.now: SimTime = 0
         self.handler: Callable[[Event], None] | None = None
-        self._heap: list[tuple[SimTime, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = 0
 
     def schedule(self, fire_at: SimTime, kind: EventKind, target: int | None = None,
@@ -62,27 +61,22 @@ class Simulator:
             raise SchedulingInPast(f"fire_at={fire_at} < now={self.now}")
         ev = Event(fire_at, self._seq, kind, target, payload)
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, ev.seq, ev))
+        heapq.heappush(self._heap, ev)
         return ev
-
-    def cancel(self, ev: Event) -> None:
-        ev.cancelled = True
 
     def run_until(self, t_end: SimTime) -> int:
         """Dispatch every pending event with fire_at <= t_end, in order.
 
         Events scheduled by handlers inside the window are dispatched in the
-        same call. Returns the number of dispatched (non-cancelled) events and
-        leaves the clock at t_end.
+        same call. Returns the number of dispatched events and leaves the clock
+        at t_end.
         """
         if t_end < self.now:
             raise ValueError(f"t_end={t_end} is in the past (now={self.now})")
         dispatched = 0
         heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            _, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
+        while heap and heap[0].fire_at <= t_end:
+            ev = heapq.heappop(heap)
             self.now = ev.fire_at
             dispatched += 1
             self.handler(ev)

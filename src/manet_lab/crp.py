@@ -39,7 +39,7 @@ class CrpNode(BeaconMixin):
     # -- data plane ------------------------------------------------------
 
     def originate(self, pkt: Packet) -> None:
-        pkt.geo = GeoHeader(dst_pos=self.engine.dst_position(pkt.final_dst))
+        pkt.geo = GeoHeader(dst_pos=self.engine.position(pkt.final_dst))
         self.forward(pkt)
 
     def on_packet(self, pkt: Packet, sender: int) -> None:

@@ -56,16 +56,13 @@ class Engine:
             streams = streams if streams is not None else []
         self.traces = traces if traces is not None else build_traces(scenario)
         self.streams = streams if streams is not None else build_streams(scenario)
-        self.radio = Radio(scenario, self.position_at_time, self.coords_at,
-                           self.sim, self.metrics, self.rng_jitter)
+        self.radio = Radio(scenario, self.traces, self.sim, self.metrics,
+                           self.rng_jitter)
         self._uids = itertools.count()
         self.protocols = [self._make_protocol(i) for i in range(scenario.n_nodes)]
         self.flood_log: list[tuple[int, int, SimTime]] = []
         self.hop_log: dict[int, list[tuple[int, SimTime, str]]] | None = \
             {} if record_hops else None
-        self._coords_t: SimTime = -1
-        self._xs = [0.0] * len(self.traces)
-        self._ys = [0.0] * len(self.traces)
 
     def _make_protocol(self, node: int):
         proto = self.scenario.protocol
@@ -87,26 +84,8 @@ class Engine:
         # Each trace's leg cursor answers repeat queries at one instant.
         return position_at(self.traces[node], t)
 
-    def coords_at(self, t: SimTime) -> tuple[list[float], list[float]]:
-        """Every node's coordinates at t as flat x and y lists indexed by node.
-
-        Filled once per instant, so all broadcasts at one instant share one
-        snapshot. Single-node queries stay with `position_at_time`: a
-        unicast needs two nodes, not all of them.
-        """
-        if t != self._coords_t:
-            xs, ys = self._xs, self._ys
-            for node, trace in enumerate(self.traces):
-                xs[node], ys[node] = trace.coords_at(t)
-            self._coords_t = t
-        return self._xs, self._ys
-
     def position(self, node: int) -> Position:
         return self.position_at_time(node, self.sim.now)
-
-    def dst_position(self, node: int) -> Position:
-        """Omniscient location service, consulted only at origination time."""
-        return self.position(node)
 
     def next_uid(self) -> int:
         return next(self._uids)
@@ -122,9 +101,9 @@ class Engine:
         else:
             self.metrics.note_diagnostic(f"drop_{pkt.kind.value}")
 
-    def schedule_timer(self, node: int, delay_us: SimTime, payload):
-        return self.sim.schedule(self.sim.now + delay_us, EventKind.TIMER_EXPIRY,
-                                 node, payload)
+    def schedule_timer(self, node: int, delay_us: SimTime, payload) -> None:
+        self.sim.schedule(self.sim.now + delay_us, EventKind.TIMER_EXPIRY,
+                          node, payload)
 
     def note_flood(self, origin: int, dst: int) -> None:
         self.flood_log.append((origin, dst, self.sim.now))

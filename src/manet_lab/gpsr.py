@@ -202,7 +202,7 @@ class GpsrNode(BeaconMixin):
             self.on_beacon_tick()
 
     def originate(self, pkt: Packet) -> None:
-        pkt.geo = GeoHeader(dst_pos=self.engine.dst_position(pkt.final_dst))
+        pkt.geo = GeoHeader(dst_pos=self.engine.position(pkt.final_dst))
         self.forward(pkt, arrived_from=None)
 
     def on_packet(self, pkt: Packet, sender: int) -> None:

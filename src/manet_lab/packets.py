@@ -32,7 +32,7 @@ class AodvHeader:
 
 @dataclass
 class GeoHeader:
-    dst_pos: Position             # frozen at origination, never updated en route
+    dst_pos: Position  # omniscient location service at origination; never updated
     mode: GeoMode = GeoMode.GREEDY
     loc_entry: Position | None = None          # where perimeter mode began
     first_edge: tuple[int, int] | None = None  # first perimeter edge taken

@@ -4,7 +4,8 @@ The channel is ideal: no collisions, no interference, no queueing loss. The
 only loss mechanisms in the model are route breakage and TTL expiry, so a
 unicast either schedules exactly one arrival or reports a link failure
 synchronously to the sender (the MAC-level callback the hybrid protocol
-relies on). The verdict is decided by node positions at send time.
+relies on). The verdict is decided by node positions at send time, which
+the radio reads from the mobility traces.
 
 A transmission schedules one `PACKET_ARRIVAL` whose payload is
 `(pkt, sender, receivers)`: a broadcast without jitter carries every
@@ -21,7 +22,7 @@ from enum import Enum
 from math import hypot
 
 from .core import EventKind, SimTime, Simulator, us
-from .geometry import dist
+from .mobility import WaypointTrace
 from .packets import Packet, clone
 from .scenario import Scenario
 
@@ -31,10 +32,13 @@ class TxStatus(Enum):
     LINK_FAILURE = "link_failure"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TxOutcome:
     status: TxStatus
-    receive_time: SimTime | None = None
+
+
+DELIVERED = TxOutcome(TxStatus.DELIVERED)
+LINK_FAILURE = TxOutcome(TxStatus.LINK_FAILURE)
 
 
 class Radio:
@@ -42,38 +46,47 @@ class Radio:
 
     The scenario gives `radio_range`, `bandwidth_bps`, `processing_delay_s`
     and `jitter_max_s` (per-receiver uniform jitter in [0, jitter_max_s]).
-    `position_fn(node, t)` gives one node's `Position`; `coords_fn(t)` gives
-    every node's coordinates as flat `(xs, ys)` lists indexed by node id.
+    `traces[node]` gives each node's motion: a unicast reads the two nodes
+    it joins, and a broadcast reads every node through `coords_at`.
     """
 
-    def __init__(self, scenario: Scenario, position_fn, coords_fn,
+    def __init__(self, scenario: Scenario, traces: list[WaypointTrace],
                  sim: Simulator, metrics, jitter_rng: random.Random):
         self._range = scenario.radio_range
         self._bandwidth = scenario.bandwidth_bps
         self._jitter_max_s = scenario.jitter_max_s
-        self._position = position_fn
-        self._coords = coords_fn
+        self._traces = traces
         self._sim = sim
         self._metrics = metrics
         self._jitter = jitter_rng
         self._proc_us = us(scenario.processing_delay_s)
         self._jitter_us = us(scenario.jitter_max_s)
         self._delay_cache: dict[int, int] = {}
-
-    def tx_delay(self, size_bytes: int) -> float:
-        """Serialization delay in seconds: size * 8 / bandwidth."""
-        return size_bytes * 8 / self._bandwidth
+        self._coords_t: SimTime = -1
+        self._xs = [0.0] * len(traces)
+        self._ys = [0.0] * len(traces)
 
     def tx_delay_us(self, size_bytes: int) -> SimTime:
+        """Serialization delay, size * 8 / bandwidth, in microseconds."""
         cached = self._delay_cache.get(size_bytes)
         if cached is None:
-            cached = us(self.tx_delay(size_bytes))
+            cached = us(size_bytes * 8 / self._bandwidth)
             self._delay_cache[size_bytes] = cached
         return cached
 
+    def coords_at(self, t: SimTime) -> tuple[list[float], list[float]]:
+        """Every node's coordinates at t as flat x and y lists indexed by node,
+        filled once per instant: all broadcasts at one instant share them."""
+        if t != self._coords_t:
+            xs, ys = self._xs, self._ys
+            for node, trace in enumerate(self._traces):
+                xs[node], ys[node] = trace.coords_at(t)
+            self._coords_t = t
+        return self._xs, self._ys
+
     def neighbors(self, node: int, t: SimTime) -> list[int]:
         """Node ids within radio range at time t, boundary inclusive, sorted."""
-        xs, ys = self._coords(t)
+        xs, ys = self.coords_at(t)
         hx = xs[node]
         hy = ys[node]
         rng = self._range
@@ -106,12 +119,14 @@ class Radio:
         """Send to one neighbor; out-of-range reports LinkFailure synchronously."""
         t = self._sim.now
         self._metrics.record_transmission(pkt.kind, is_broadcast=False)
-        here = self._position(sender, t)
-        there = self._position(next_hop, t)
-        if dist(here, there) > self._range:
-            return TxOutcome(TxStatus.LINK_FAILURE)
+        traces = self._traces
+        sx, sy = traces[sender].coords_at(t)
+        rx, ry = traces[next_hop].coords_at(t)
+        # hypot(sender - receiver) is exactly geometry.dist(sender, receiver).
+        if hypot(sx - rx, sy - ry) > self._range:
+            return LINK_FAILURE
         rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
         if self._jitter_us > 0:
             rt += self._jitter_draw()
         self._sim.schedule(rt, EventKind.PACKET_ARRIVAL, None, (pkt, sender, (next_hop,)))
-        return TxOutcome(TxStatus.DELIVERED, rt)
+        return DELIVERED

@@ -135,6 +135,9 @@ def validate_scenario(sc: Scenario) -> None:
         raise ValidationError(
             f"unsupported protocol {sc.protocol!r}; choose one of {', '.join(PROTOCOLS)}",
             field="protocol")
+    if any(char in sc.name for char in ",\n\r"):
+        raise ValidationError("must not contain a comma or a line break: it is "
+                              "one field of a results CSV row", field="name")
     # NaN passes every sign check below, inf passes the lower bounds, and an
     # int past the float range breaks the float arithmetic below.
     for fname in _NUMBERS:

@@ -169,11 +169,11 @@ def aggregate(rows: list[MetricsRow]) -> dict:
 
 
 def render_table(table: dict) -> str:
-    """Aligned text: one block per metric, rows = scenario cells,
-    columns = protocols. delivery_ratio is the count ratio also known
-    as throughput. The last block gives the replications behind each
-    mean, so a failed run shows as a smaller n."""
-    cells = sorted({k[0] for k in table})
+    """Aligned text: one block per metric, rows = scenario cells in plan
+    order, columns = protocols. delivery_ratio is the count ratio also
+    known as throughput. The last block gives the replications behind
+    each mean, so a failed run shows as a smaller n."""
+    cells = list(dict.fromkeys(k[0] for k in table))
     protocols = sorted({k[1] for k in table},
                        key=lambda p: PROTOCOLS.index(p) if p in PROTOCOLS else 99)
     blocks = []

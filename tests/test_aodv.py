@@ -151,9 +151,37 @@ def test_retry_floods_use_fresh_rreq_id():
 
 def test_rrep_cancels_discovery_timer():
     engine, _ = run_chain_discovery()
-    # With the route found, no retry flood may fire after the timeout window.
+    # With the route found, the discovery's timer fires as a no-op: no retry
+    # flood may follow the timeout window.
     assert len(engine.flood_log) == 1
     assert engine.protocols[0].core.pending == {}
+
+
+def test_stale_discovery_timer_leaves_next_discovery_alone():
+    # A discovery from 0 to 3 succeeds at about 1.008 s and is flushed; its
+    # timer still fires at 1.1 s. Node 1 leaves at 1.03 s, so the packet
+    # sent at 1.06 s fails its first hop and opens a second discovery to 3,
+    # which no one can answer. The old timer must not touch it.
+    duration = 1.12
+    traces = [trace_from_waypoints(n, duration, [(0.0, CHAIN[n])]) for n in CHAIN]
+    traces[1] = trace_from_waypoints(1, duration, [(0.0, CHAIN[1]),
+                                                   (1.03, CHAIN[1]),
+                                                   (1.04, Position(200, 900))])
+    sc = Scenario(n_nodes=4, protocol="aodv", duration_s=duration, seed=1,
+                  pause_s=duration, n_streams=2)
+    engine = Engine(sc, traces=traces,
+                    streams=[one_shot_stream(0, 3, at_s=1.0),
+                             one_shot_stream(0, 3, at_s=1.06)])
+    core = engine.protocols[0].core
+    first_fire = us(1.0) + core._discovery_timeout
+    row = engine.run()
+    assert row.delivered == 1
+    assert [(o, d) for o, d, _ in engine.flood_log] == [(0, 3), (0, 3)]
+    second_flood_at = engine.flood_log[1][2]
+    assert second_flood_at < first_fire < engine.duration
+    assert engine.duration < second_flood_at + core._discovery_timeout
+    d = core.pending[3]
+    assert d.retries_left == sc.discovery_retries and len(d.buffer) == 1
 
 
 def test_link_break_rerr_and_rediscovery():

@@ -87,6 +87,8 @@ def test_validate_zero_us_period_exits_1(tmp_path, capsys, monkeypatch, text, fi
     # finite values whose mobility traces would need too many legs
     ("duration_s = 1e300\n", "duration_s"),
     ("speed_mps = 1e9\npause_s = 0\n", "duration_s"),
+    # a name that would split its CSV row into 17 fields
+    ("name = a,b\n", "name"),
 ])
 def test_validate_non_finite_exits_1(tmp_path, capsys, monkeypatch, text, field):
     import manet_lab.cli as cli_mod
@@ -99,6 +101,15 @@ def test_validate_non_finite_exits_1(tmp_path, capsys, monkeypatch, text, field)
     path = write_scn(tmp_path, text)
     assert main(["validate", str(path)]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\rb"])
+def test_validate_file_stem_that_breaks_csv_row_exits_1(tmp_path, capsys, stem):
+    # A file's stem names the scenario when no `name` key is given.
+    path = write_scn(tmp_path, TINY, name=f"{stem}.scn")
+    assert main(["validate", str(path)]) == 1
+    assert "scenario error: name:" in capsys.readouterr().err
+    assert main(["run", str(path)]) == 1
 
 
 @pytest.mark.parametrize("text, code", [
@@ -177,6 +188,19 @@ def test_sweep_writes_rows_and_table(tmp_path, capsys):
     assert len(csv_lines) == 1 + 2 * 2 * 2
     table = (out_dir / "results.txt").read_text()
     assert "delivery_ratio" in table and "pause=0.0" in table
+
+
+def test_sweep_table_lists_cells_in_plan_order(tmp_path, capsys):
+    path = write_scn(tmp_path, TINY)
+    assert main(["sweep", str(path), "--axis", "pause", "--values", "5,10,0"]) == 0
+    out = capsys.readouterr().out
+    order = ["pause=5.0", "pause=10.0", "pause=0.0"]
+    rows, table = out.split("\n\n", 1)
+    assert [line.split(",")[1] for line in rows.splitlines()[1:]] == order
+    blocks = table.strip().split("\n\n")
+    assert len(blocks) == 4
+    for block in blocks:
+        assert [line.split()[0] for line in block.splitlines()[2:]] == order
 
 
 def test_missing_file_is_runtime_failure(tmp_path, capsys):

@@ -5,23 +5,31 @@ import pytest
 from manet_lab.core import EventKind, Simulator, rng_stream, us
 from manet_lab.geometry import Position, dist
 from manet_lab.metrics import RunMetrics
+from manet_lab.mobility import position_at
 from manet_lab.packets import Packet, PacketKind
 from manet_lab.radio import Radio, TxStatus
 from manet_lab.scenario import Scenario
 
-from conftest import random_positions, unit_disk_adj
+from conftest import (random_positions, static_traces, trace_from_waypoints,
+                      unit_disk_adj)
 
 
 def build_radio(positions, config=None, seed=1):
+    """Radio over nodes resting at `positions` (ids 0..n-1) for 10 s."""
     sim = Simulator()
     sim.handler = lambda ev: None
     metrics = RunMetrics()
     cfg = config or Scenario()
-    xs = [positions[node].x for node in range(len(positions))]
-    ys = [positions[node].y for node in range(len(positions))]
-    radio = Radio(cfg, lambda node, t: positions[node], lambda t: (xs, ys),
-                  sim, metrics, rng_stream(seed, "jitter"))
+    radio = Radio(cfg, static_traces(positions, 10.0), sim, metrics,
+                  rng_stream(seed, "jitter"))
     return radio, sim, metrics
+
+
+def record_arrivals(sim):
+    """Log (receivers, time) for each event the simulator dispatches."""
+    arrivals = []
+    sim.handler = lambda ev: arrivals.append((ev.payload[2], sim.now))
+    return arrivals
 
 
 def data_packet(origin=0, dst=1, size=512):
@@ -91,10 +99,11 @@ def test_engine_neighbors_match_brute_force_while_moving():
 
 def test_tx_delay_values():
     radio, _, _ = build_radio({0: Position(0, 0)})
-    assert radio.tx_delay(0) == 0.0
-    assert radio.tx_delay(512) == pytest.approx(0.002048)  # 512*8 / 2e6
-    assert radio.tx_delay(1024) == pytest.approx(2 * radio.tx_delay(512))
-    assert radio.tx_delay_us(512) == 2048
+    assert radio.tx_delay_us(0) == 0
+    assert radio.tx_delay_us(512) == 2048  # 512*8 / 2e6 s
+    assert radio.tx_delay_us(1024) == 2 * radio.tx_delay_us(512)
+    assert radio.tx_delay_us(64) == 256
+    assert radio.tx_delay_us(512) == 2048  # the cached value
 
 
 def test_broadcast_zero_neighbors_still_counts_once():
@@ -134,10 +143,12 @@ def test_broadcast_jitter_range_and_spread():
 
 def test_unicast_in_range_delivers():
     positions = {0: Position(0, 0), 1: Position(200, 0)}
-    radio, _, _ = build_radio(positions)
+    radio, sim, _ = build_radio(positions)
+    arrivals = record_arrivals(sim)
     outcome = radio.unicast(0, 1, data_packet())
     assert outcome.status is TxStatus.DELIVERED
-    assert outcome.receive_time == us(0.002048) + us(0.001)
+    sim.run_until(us(1))
+    assert arrivals == [((1,), us(0.002048) + us(0.001))]
 
 
 def test_unicast_out_of_range_fails_synchronously():
@@ -145,41 +156,70 @@ def test_unicast_out_of_range_fails_synchronously():
     radio, sim, metrics = build_radio(positions)
     outcome = radio.unicast(0, 1, data_packet())
     assert outcome.status is TxStatus.LINK_FAILURE
-    assert outcome.receive_time is None
     assert metrics.transmissions_total == 1  # the attempt consumed the channel
     assert sim.run_until(us(1)) == 0  # nothing was scheduled
 
 
 def test_mobile_receiver_outcome_decided_at_send_time():
-    # Node 1 drifts away through the range boundary; the verdict follows the
-    # distance at the send instant, not at would-be receive time.
-    def moving(node, t):
-        if node == 0:
-            return Position(0, 0)
-        return Position(249.0 + t / us(1.0), 0)  # +1 m per second
-
-    def moving_coords(t):
-        return [moving(n, t).x for n in (0, 1)], [moving(n, t).y for n in (0, 1)]
-
+    # Node 1 drifts away through the range boundary at 1 m/s; the verdict
+    # follows the distance at the send instant, not at would-be receive time.
+    traces = [trace_from_waypoints(0, 10.0, [(0.0, Position(0, 0))]),
+              trace_from_waypoints(1, 10.0, [(0.0, Position(249, 0)),
+                                             (10.0, Position(259, 0))])]
     sim = Simulator()
     sim.handler = lambda ev: None
-    radio = Radio(Scenario(), moving, moving_coords, sim, RunMetrics(),
-                  rng_stream(1, "jitter"))
+    radio = Radio(Scenario(), traces, sim, RunMetrics(), rng_stream(1, "jitter"))
+
+    def gap():
+        return dist(position_at(traces[0], sim.now), position_at(traces[1], sim.now))
+
     assert radio.unicast(0, 1, data_packet()).status is TxStatus.DELIVERED
     sim.run_until(us(0.5))
-    assert dist(moving(1, sim.now), moving(0, sim.now)) < 250
+    assert gap() < 250
     assert radio.unicast(0, 1, data_packet()).status is TxStatus.DELIVERED
     sim.run_until(us(2.0))
-    assert dist(moving(1, sim.now), moving(0, sim.now)) > 250
+    assert gap() > 250
     assert radio.unicast(0, 1, data_packet()).status is TxStatus.LINK_FAILURE
+
+
+def test_unicast_verdict_equals_distance_of_positions():
+    # On a 100-node field that never pauses, at seeded instants and node
+    # pairs, the verdict must be the boundary-inclusive range test on the
+    # distance of the two nodes' Positions, bit for bit. Nodes 0 and 1 rest
+    # at exactly the range apart (a 150-200-250 triangle).
+    import random
+    from manet_lab.engine import Engine, build_traces
+    sc = Scenario(n_nodes=100, duration_s=20.0, pause_s=0.0, seed=9)
+    traces = build_traces(sc)
+    traces[:2] = static_traces({0: Position(300.0, 400.0),
+                                1: Position(450.0, 600.0)}, sc.duration_s)
+    engine = Engine(sc, traces=traces, streams=[])
+    engine.sim.handler = lambda ev: None
+    radio = engine.radio
+    picker = random.Random(9)
+    verdicts = []
+    for t in sorted(picker.randrange(engine.duration + 1) for _ in range(40)):
+        engine.sim.run_until(t)
+        pairs = [(0, 1), (1, 0)] + [tuple(picker.sample(range(sc.n_nodes), 2))
+                                    for _ in range(50)]
+        for a, b in pairs:
+            gap = dist(position_at(traces[a], t), position_at(traces[b], t))
+            status = radio.unicast(a, b, data_packet(a, b)).status
+            assert (status is TxStatus.DELIVERED) == (gap <= sc.radio_range)
+            verdicts.append(status)
+    assert dist(position_at(traces[0], 0), position_at(traces[1], 0)) == 250.0
+    assert TxStatus.DELIVERED in verdicts and TxStatus.LINK_FAILURE in verdicts
 
 
 def test_causality_receive_after_send():
     positions = {0: Position(0, 0), 1: Position(10, 0)}
     radio, sim, _ = build_radio(positions)
     sim.run_until(us(3))
-    outcome = radio.unicast(0, 1, data_packet(size=1))
-    assert outcome.receive_time > sim.now
+    sent_at = sim.now
+    arrivals = record_arrivals(sim)
+    radio.unicast(0, 1, data_packet(size=1))
+    sim.run_until(us(4))
+    assert len(arrivals) == 1 and arrivals[0][1] > sent_at
 
 
 def test_overhead_once_per_primitive_call():

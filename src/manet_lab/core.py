@@ -56,13 +56,11 @@ class Simulator:
         self._seq = 0
 
     def schedule(self, fire_at: SimTime, kind: EventKind, target: int | None = None,
-                 payload: Any = None) -> Event:
+                 payload: Any = None) -> None:
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at={fire_at} < now={self.now}")
-        ev = Event(fire_at, self._seq, kind, target, payload)
+        heapq.heappush(self._heap, Event(fire_at, self._seq, kind, target, payload))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
 
     def run_until(self, t_end: SimTime) -> int:
         """Dispatch every pending event with fire_at <= t_end, in order.

@@ -24,8 +24,8 @@ def build_traces(sc: Scenario) -> list[WaypointTrace]:
     rng = rng_stream(sc.seed, "mobility")
     return [
         random_waypoint_trace(sc.area_width, sc.area_height, sc.speed_mps,
-                              sc.pause_s, sc.duration_s, rng, node=i)
-        for i in range(sc.n_nodes)
+                              sc.pause_s, sc.duration_s, rng)
+        for _ in range(sc.n_nodes)
     ]
 
 
@@ -41,12 +41,11 @@ def build_streams(sc: Scenario) -> list[CbrStream]:
 
 class Engine:
     def __init__(self, scenario: Scenario, *, traces: list[WaypointTrace] | None = None,
-                 streams: list[CbrStream] | None = None, record_hops: bool = False,
-                 record_log: bool = False):
+                 streams: list[CbrStream] | None = None, record_hops: bool = False):
         self.scenario = scenario
         self.sim = Simulator()
         self.sim.handler = self._dispatch
-        self.metrics = RunMetrics(record_log=record_log)
+        self.metrics = RunMetrics()
         self.rng_jitter = rng_stream(scenario.seed, "jitter")
         self.rng_beacon = rng_stream(scenario.seed, "beacon")
         self.rng_hello = rng_stream(scenario.seed, "hello")
@@ -134,7 +133,7 @@ class Engine:
             final_dst=s.dst, created_at=now, ttl=self.scenario.data_ttl,
             size_bytes=s.packet_size,
         )
-        self.metrics.record_origination(pkt.uid, now)
+        self.metrics.record_origination(pkt.uid)
         self.note_hop(pkt, s.src, "originated")
         self.protocols[s.src].originate(pkt)
         nxt = now + s.interval

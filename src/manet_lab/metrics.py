@@ -76,35 +76,11 @@ class MetricsRow:
     def csv_header() -> str:
         return ",".join(CSV_COLUMNS)
 
-    @staticmethod
-    def from_csv_row(line: str) -> "MetricsRow":
-        parts = line.rstrip("\n").split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
-        drops = {_DROP_COLUMN_TO_CAUSE[col]: int(v)
-                 for col, v in zip(CSV_COLUMNS[11:], parts[11:])}
-        sent = int(parts[6])
-        delivered = int(parts[7])
-        row = MetricsRow(
-            protocol=parts[0], scenario_id=parts[1], seed=int(parts[2]),
-            n_nodes=int(parts[3]), pause_s=float(parts[4]), rate_pps=float(parts[5]),
-            sent=sent, delivered=delivered, delivery_ratio=float(parts[8]),
-            mean_delay_ms=None if parts[9] == "" else float(parts[9]),
-            transmissions_total=int(parts[10]), drops=drops,
-        )
-        row.in_flight = sent - delivered - sum(drops.values())
-        return row
-
 
 class RunMetrics:
-    """Counters owned by one run's event loop.
+    """Counters owned by one run's event loop."""
 
-    With record_log=True every call is also appended to a flat event log;
-    feeding that log through `RunMetrics.from_log` reproduces the counters
-    exactly, which is how the replay tests pin the accounting down.
-    """
-
-    def __init__(self, record_log: bool = False):
+    def __init__(self):
         self.sent = 0
         self.delivered = 0
         self.transmissions_total = 0
@@ -114,19 +90,14 @@ class RunMetrics:
         self._delay_sum_us = 0
         self._outstanding: set[int] = set()
         self._delivered_uids: set[int] = set()
-        self.log: list[tuple] | None = [] if record_log else None
 
-    def record_origination(self, uid: int, now: SimTime) -> None:
+    def record_origination(self, uid: int) -> None:
         self.sent += 1
         self._outstanding.add(uid)
-        if self.log is not None:
-            self.log.append(("orig", uid, now))
 
-    def record_transmission(self, kind: PacketKind, is_broadcast: bool) -> None:
+    def record_transmission(self, kind: PacketKind) -> None:
         self.transmissions_total += 1
         self.transmissions_by_kind[kind.value] += 1
-        if self.log is not None:
-            self.log.append(("tx", kind.value, is_broadcast))
 
     def record_delivery(self, uid: int, created_at: SimTime, now: SimTime) -> None:
         if uid in self._delivered_uids:
@@ -137,22 +108,16 @@ class RunMetrics:
         self._delivered_uids.add(uid)
         self.delivered += 1
         self._delay_sum_us += now - created_at
-        if self.log is not None:
-            self.log.append(("dlv", uid, created_at, now))
 
     def record_drop(self, uid: int, cause: DropCause) -> None:
         if uid not in self._outstanding:
             raise AccountingError(f"drop of unknown or already-terminal uid {uid}")
         self._outstanding.discard(uid)
         self.drops[cause.value] += 1
-        if self.log is not None:
-            self.log.append(("drop", uid, cause.value))
 
     def note_diagnostic(self, label: str) -> None:
         """Control-plane oddities (dropped RREPs, failed control unicasts)."""
         self.diagnostics[label] += 1
-        if self.log is not None:
-            self.log.append(("diag", label))
 
     @property
     def in_flight(self) -> int:
@@ -162,25 +127,6 @@ class RunMetrics:
         if self.delivered == 0:
             return None
         return self._delay_sum_us / self.delivered / 1000.0
-
-    @classmethod
-    def from_log(cls, log: list[tuple]) -> "RunMetrics":
-        m = cls()
-        for entry in log:
-            tag = entry[0]
-            if tag == "orig":
-                m.record_origination(entry[1], entry[2])
-            elif tag == "tx":
-                m.record_transmission(PacketKind(entry[1]), entry[2])
-            elif tag == "dlv":
-                m.record_delivery(entry[1], entry[2], entry[3])
-            elif tag == "drop":
-                m.record_drop(entry[1], DropCause(entry[2]))
-            elif tag == "diag":
-                m.note_diagnostic(entry[1])
-            else:
-                raise AccountingError(f"unknown log entry {entry!r}")
-        return m
 
     def finalize(self, protocol: str, scenario_id: str, seed: int,
                  n_nodes: int, pause_s: float, rate_pps: float) -> MetricsRow:

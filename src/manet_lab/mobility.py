@@ -20,21 +20,19 @@ from .geometry import Position, dist
 
 @dataclass(frozen=True)
 class Leg:
-    """One straight movement followed by an optional pause at its endpoint."""
+    """One straight movement; the node then rests at `end` until the next
+    leg departs (or the trace ends)."""
 
     depart_at: SimTime
     start: Position
     end: Position
-    speed: float        # m/s, > 0
     arrive_at: SimTime
-    pause_after: SimTime  # microseconds spent at `end` before the next leg
 
 
 class WaypointTrace:
     """Time-contiguous legs covering [0, duration] for one node."""
 
-    def __init__(self, node: int, duration: SimTime, legs: list[Leg]):
-        self.node = node
+    def __init__(self, duration: SimTime, legs: list[Leg]):
         self.duration = duration
         self.legs = legs
         self._departs = [leg.depart_at for leg in legs]
@@ -68,16 +66,10 @@ class WaypointTrace:
         self._lo = departs[idx]
         self._hi = departs[idx + 1] if idx + 1 < len(departs) else self.duration + 1
 
-    def __eq__(self, other):
-        return (isinstance(other, WaypointTrace)
-                and self.node == other.node
-                and self.duration == other.duration
-                and self.legs == other.legs)
-
 
 def random_waypoint_trace(area_width: float, area_height: float, speed: float,
                           pause_s: float, duration_s: float,
-                          rng: random.Random, node: int = 0) -> WaypointTrace:
+                          rng: random.Random) -> WaypointTrace:
     """Build a trace: uniform waypoints, fixed speed, fixed pause at each stop.
 
     The node starts paused at a uniform initial position, then repeatedly
@@ -96,17 +88,17 @@ def random_waypoint_trace(area_width: float, area_height: float, speed: float,
     here = Position(rng.uniform(0.0, area_width), rng.uniform(0.0, area_height))
     t: SimTime = 0
     if pause > 0:  # initial rest at the starting position
-        legs.append(Leg(t, here, here, speed, t, pause))
+        legs.append(Leg(t, here, here, t))
         t += pause
     while t < duration:
         target = Position(rng.uniform(0.0, area_width), rng.uniform(0.0, area_height))
         travel = us(dist(here, target) / speed)
-        legs.append(Leg(t, here, target, speed, t + travel, pause))
+        legs.append(Leg(t, here, target, t + travel))
         t += travel + pause
         here = target
     if not legs:  # duration shorter than the initial pause resolution
-        legs.append(Leg(0, here, here, speed, 0, duration))
-    return WaypointTrace(node, duration, legs)
+        legs.append(Leg(0, here, here, 0))
+    return WaypointTrace(duration, legs)
 
 
 def position_at(trace: WaypointTrace, t: SimTime) -> Position:

@@ -97,28 +97,28 @@ class Radio:
     def _jitter_draw(self) -> SimTime:
         return us(self._jitter.uniform(0.0, self._jitter_max_s))
 
-    def broadcast(self, sender: int, pkt: Packet) -> list[tuple[int, SimTime]]:
-        """Deliver pkt to every current neighbor; one transmission regardless."""
+    def broadcast(self, sender: int, pkt: Packet) -> list[int]:
+        """Deliver pkt to every current neighbor; one transmission regardless.
+        Returns the receivers."""
         t = self._sim.now
-        self._metrics.record_transmission(pkt.kind, is_broadcast=True)
+        self._metrics.record_transmission(pkt.kind)
         rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
         receivers = self.neighbors(sender, t)
         schedule = self._sim.schedule
         if self._jitter_us > 0:
-            deliveries = [(r, rt + self._jitter_draw()) for r in receivers]
-            for receiver, at in deliveries:
-                schedule(at, EventKind.PACKET_ARRIVAL, None, (pkt, sender, (receiver,)))
-            return deliveries
-        # One event in place of one per receiver at consecutive seq values:
-        # the dispatch order is the same.
-        if receivers:
+            for receiver in receivers:
+                schedule(rt + self._jitter_draw(), EventKind.PACKET_ARRIVAL, None,
+                         (pkt, sender, (receiver,)))
+        elif receivers:
+            # One event in place of one per receiver at consecutive seq
+            # values: the dispatch order is the same.
             schedule(rt, EventKind.PACKET_ARRIVAL, None, (pkt, sender, tuple(receivers)))
-        return [(r, rt) for r in receivers]
+        return receivers
 
     def unicast(self, sender: int, next_hop: int, pkt: Packet) -> TxOutcome:
         """Send to one neighbor; out-of-range reports LinkFailure synchronously."""
         t = self._sim.now
-        self._metrics.record_transmission(pkt.kind, is_broadcast=False)
+        self._metrics.record_transmission(pkt.kind)
         traces = self._traces
         sx, sy = traces[sender].coords_at(t)
         rx, ry = traces[next_hop].coords_at(t)

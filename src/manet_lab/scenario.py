@@ -14,7 +14,9 @@ PROTOCOLS = ("aodv", "gpsr", "crp", "gpsr_greedy_only")
 # Upper bound on the estimated random-waypoint legs over all traces.
 MAX_TRACE_LEGS = 1_000_000
 # Upper bound on the data packets all streams emit, n_streams * rate_pps *
-# duration_s. The largest sweep in scenarios/ (25 pkt/s, 500 s) emits 250,000.
+# duration_s, and on the beacons or hellos all nodes send. The largest sweep
+# in scenarios/ emits 250,000 data packets (25 pkt/s, 500 s) and sends
+# 50,000 beacons (100 nodes, 500 s).
 MAX_PACKETS = 10_000_000
 
 _TRUE = {"on", "true", "yes", "1"}
@@ -198,6 +200,21 @@ def validate_scenario(sc: Scenario) -> None:
             f"(n_streams * rate_pps * duration_s), more than {MAX_PACKETS:,}; "
             "shorten the run, lower rate_pps or lower n_streams",
             field="duration_s")
+    # And the periodic timer, where one runs: each node sends about one
+    # beacon or hello per interval. Beacon jitter is symmetric and max(1,
+    # gap) only lengthens a gap, so only the interval's rounding to whole
+    # microseconds can make this undercount.
+    if sc.protocol == "aodv":
+        timer = "hello_interval_s" if sc.aodv_hello else None
+    else:
+        timer = "beacon_interval_s"
+    if timer is not None:
+        sends = sc.n_nodes * sc.duration_s / getattr(sc, timer)
+        if sends > MAX_PACKETS:
+            raise ValidationError(
+                f"the nodes would send about {sends:.3g} periodic packets "
+                f"(n_nodes * duration_s / {timer}), more than {MAX_PACKETS:,}; "
+                f"shorten the run or lengthen {timer}", field=timer)
 
 
 def format_scenario(sc: Scenario, comment: bool = False) -> str:

@@ -119,13 +119,6 @@ def write_csv(rows: list[MetricsRow], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path: str | Path) -> list[MetricsRow]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != MetricsRow.csv_header():
-        raise ValueError("unrecognized results header")
-    return [MetricsRow.from_csv_row(line) for line in lines[1:] if line]
-
-
 def emit(rows: list[MetricsRow], fmt: str, out_dir: str | Path) -> Path:
     """Write results under out_dir: fmt 'csv' gives results.csv, 'table'
     gives the aggregated mean/stddev text as results.txt."""

@@ -15,11 +15,6 @@ class CbrStream:
     start_at: SimTime
     stop_at: SimTime
 
-    def emission_count(self) -> int:
-        if self.stop_at < self.start_at:
-            return 0
-        return (self.stop_at - self.start_at) // self.interval + 1
-
 
 def make_streams(n_streams: int, n_nodes: int, packet_size: int,
                  interval_s: float, duration_s: float,

@@ -15,6 +15,7 @@ import pytest
 from manet_lab.core import us
 from manet_lab.engine import Engine
 from manet_lab.geometry import Position
+from manet_lab.metrics import CSV_COLUMNS
 from manet_lab.mobility import Leg, WaypointTrace
 from manet_lab.scenario import Scenario
 from manet_lab.traffic import CbrStream
@@ -127,6 +128,18 @@ def connected_random_positions(rng: random.Random, n: int, width=1000.0,
             return positions
 
 
+def assert_float_columns_exact(row, line: str) -> None:
+    """Each float column of a results line parses back to the row's value
+    bit for bit (`repr` output); an absent mean delay is an empty field."""
+    fields = dict(zip(CSV_COLUMNS, line.split(",")))
+    for col in ("pause_s", "rate_pps", "delivery_ratio", "mean_delay_ms"):
+        value = getattr(row, col)
+        if value is None:
+            assert fields[col] == ""
+        else:
+            assert float(fields[col]) == value
+
+
 # -- engine builders -----------------------------------------------------
 
 def static_traces(positions: dict[int, Position], duration_s: float):
@@ -134,42 +147,35 @@ def static_traces(positions: dict[int, Position], duration_s: float):
     traces = []
     for node in sorted(positions):
         p = positions[node]
-        traces.append(WaypointTrace(node, duration,
-                                    [Leg(0, p, p, 1.0, 0, duration)]))
+        traces.append(WaypointTrace(duration, [Leg(0, p, p, 0)]))
     return traces
 
 
 def static_engine(positions: dict[int, Position], protocol: str,
                   duration_s: float, streams: list[CbrStream],
                   seed: int = 1, record_hops: bool = True,
-                  record_log: bool = False, **overrides) -> Engine:
+                  **overrides) -> Engine:
     sc = Scenario(
         n_nodes=len(positions), protocol=protocol, duration_s=duration_s,
         seed=seed, pause_s=duration_s, n_streams=max(1, len(streams)),
         **overrides)
     return Engine(sc, traces=static_traces(positions, duration_s),
-                  streams=streams, record_hops=record_hops,
-                  record_log=record_log)
+                  streams=streams, record_hops=record_hops)
 
 
-def trace_from_waypoints(node: int, duration_s: float,
+def trace_from_waypoints(duration_s: float,
                          waypoints: list[tuple[float, Position]]) -> WaypointTrace:
     """Trace visiting (time_s, position) waypoints, moving in straight lines
     between them and resting at the last one until the end of the run."""
     duration = us(duration_s)
     legs = []
     for (t0, p0), (t1, p1) in zip(waypoints, waypoints[1:]):
-        depart, arrive = us(t0), us(t1)
-        gap_s = t1 - t0
-        d = math.dist((p0.x, p0.y), (p1.x, p1.y))
-        if d == 0.0:
-            legs.append(Leg(depart, p0, p1, 1.0, depart, arrive - depart))
-        else:
-            legs.append(Leg(depart, p0, p1, d / gap_s, arrive, 0))
+        # a waypoint repeated in place is a rest until the next one
+        arrive = us(t0) if p0 == p1 else us(t1)
+        legs.append(Leg(us(t0), p0, p1, arrive))
     last_t, last_p = waypoints[-1]
-    legs.append(Leg(us(last_t), last_p, last_p, 1.0, us(last_t),
-                    duration - us(last_t)))
-    return WaypointTrace(node, duration, legs)
+    legs.append(Leg(us(last_t), last_p, last_p, us(last_t)))
+    return WaypointTrace(duration, legs)
 
 
 def one_shot_stream(src: int, dst: int, at_s: float, size: int = 512) -> CbrStream:

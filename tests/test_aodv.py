@@ -163,10 +163,10 @@ def test_stale_discovery_timer_leaves_next_discovery_alone():
     # sent at 1.06 s fails its first hop and opens a second discovery to 3,
     # which no one can answer. The old timer must not touch it.
     duration = 1.12
-    traces = [trace_from_waypoints(n, duration, [(0.0, CHAIN[n])]) for n in CHAIN]
-    traces[1] = trace_from_waypoints(1, duration, [(0.0, CHAIN[1]),
-                                                   (1.03, CHAIN[1]),
-                                                   (1.04, Position(200, 900))])
+    traces = [trace_from_waypoints(duration, [(0.0, CHAIN[n])]) for n in CHAIN]
+    traces[1] = trace_from_waypoints(duration, [(0.0, CHAIN[1]),
+                                                (1.03, CHAIN[1]),
+                                                (1.04, Position(200, 900))])
     sc = Scenario(n_nodes=4, protocol="aodv", duration_s=duration, seed=1,
                   pause_s=duration, n_streams=2)
     engine = Engine(sc, traces=traces,
@@ -192,12 +192,12 @@ def test_link_break_rerr_and_rediscovery():
                  3: Position(400, 0)}
     duration = 20.0
     traces = [
-        trace_from_waypoints(0, duration, [(0.0, positions[0])]),
-        trace_from_waypoints(1, duration, [(0.0, positions[1]),
-                                           (8.0, positions[1]),
-                                           (8.1, Position(200, 900))]),
-        trace_from_waypoints(2, duration, [(0.0, positions[2])]),
-        trace_from_waypoints(3, duration, [(0.0, positions[3])]),
+        trace_from_waypoints(duration, [(0.0, positions[0])]),
+        trace_from_waypoints(duration, [(0.0, positions[1]),
+                                        (8.0, positions[1]),
+                                        (8.1, Position(200, 900))]),
+        trace_from_waypoints(duration, [(0.0, positions[2])]),
+        trace_from_waypoints(duration, [(0.0, positions[3])]),
     ]
     sc = Scenario(n_nodes=4, protocol="aodv", duration_s=duration, seed=3,
                   pause_s=duration, n_streams=1)
@@ -217,7 +217,7 @@ def test_transit_node_without_route_drops_and_reports():
     relay = engine.protocols[1]
     orphan = Packet(uid=70, kind=PacketKind.DATA, origin=0, final_dst=3,
                     created_at=0, ttl=32, size_bytes=512)
-    engine.metrics.record_origination(70, 0)
+    engine.metrics.record_origination(70)
     relay.on_packet(orphan, sender=0)
     assert engine.metrics.drops["link_failure"] == 1
     assert engine.metrics.transmissions_by_kind["rerr"] == 1
@@ -277,11 +277,11 @@ def test_hello_loss_invalidates_routes():
     positions = {0: Position(0, 0), 1: Position(200, 0), 2: Position(400, 0)}
     duration = 20.0
     traces = [
-        trace_from_waypoints(0, duration, [(0.0, positions[0])]),
-        trace_from_waypoints(1, duration, [(0.0, positions[1]),
-                                           (6.0, positions[1]),
-                                           (6.1, Position(200, 900))]),
-        trace_from_waypoints(2, duration, [(0.0, positions[2])]),
+        trace_from_waypoints(duration, [(0.0, positions[0])]),
+        trace_from_waypoints(duration, [(0.0, positions[1]),
+                                        (6.0, positions[1]),
+                                        (6.1, Position(200, 900))]),
+        trace_from_waypoints(duration, [(0.0, positions[2])]),
     ]
     sc = Scenario(n_nodes=3, protocol="aodv", duration_s=duration, seed=5,
                   pause_s=duration, n_streams=1, aodv_hello=True)

@@ -129,6 +129,26 @@ def test_validate_bounds_emitted_packets(tmp_path, capsys, text, code):
         assert "rate_pps" in err and "duration_s" in err
 
 
+@pytest.mark.parametrize("text, code, field", [
+    ("protocol = gpsr\nbeacon_interval_s = 1e-7\nbeacon_jitter_s = 0\n", 1,
+     "beacon_interval_s"),
+    ("protocol = crp\nbeacon_interval_s = 1e-6\n", 1, "beacon_interval_s"),
+    ("aodv_hello = on\nhello_interval_s = 1e-6\n", 1, "hello_interval_s"),
+    # no hello timer runs with hellos off, and aodv sends no beacons
+    ("hello_interval_s = 1e-6\n", 0, None),
+    ("beacon_interval_s = 1e-6\n", 0, None),
+    # 30 nodes * 500 s / 0.0015 s is exactly the bound of 10,000,000
+    ("protocol = gpsr_greedy_only\nbeacon_interval_s = 0.0015\n", 0, None),
+    ("protocol = gpsr_greedy_only\nbeacon_interval_s = 0.00149\n", 1,
+     "beacon_interval_s"),
+])
+def test_validate_bounds_periodic_timers(tmp_path, capsys, text, code, field):
+    path = write_scn(tmp_path, text)
+    assert main(["validate", str(path)]) == code
+    if code:
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+
+
 def test_run_prints_header_echo_and_row(tmp_path, capsys):
     path = write_scn(tmp_path, TINY)
     out_dir = tmp_path / "out"

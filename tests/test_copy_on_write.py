@@ -42,7 +42,8 @@ def run_guarded(sc) -> int:
     engine = Engine(sc)
     sim, radio = engine.sim, engine.radio
     sending = []   # fingerprint of the packet inside the current send
-    at_send = {}   # arrival event seq -> its packet's fingerprint at send time
+    at_send = {}   # id of a queued arrival's payload -> its packet's
+                   # fingerprint at send time (the queue keeps the payload alive)
     handed = []    # fingerprint of the arrival being dispatched
     checked = [0]
 
@@ -58,10 +59,9 @@ def run_guarded(sc) -> int:
     schedule = sim.schedule
 
     def tagging_schedule(fire_at, kind, target=None, payload=None):
-        ev = schedule(fire_at, kind, target, payload)
+        schedule(fire_at, kind, target, payload)
         if kind is EventKind.PACKET_ARRIVAL:
-            at_send[ev.seq] = sending[-1]
-        return ev
+            at_send[id(payload)] = sending[-1]
 
     dispatch = sim.handler
 
@@ -69,7 +69,7 @@ def run_guarded(sc) -> int:
         if ev.kind is not EventKind.PACKET_ARRIVAL:
             dispatch(ev)
             return
-        handed.append(at_send.pop(ev.seq))
+        handed.append(at_send.pop(id(ev.payload)))
         try:
             dispatch(ev)
         finally:

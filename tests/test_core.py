@@ -80,12 +80,12 @@ def test_total_order_property_random_events():
     rng = random.Random(99)
     sim = Simulator()
     log = []
-    sim.handler = lambda ev: log.append((ev.fire_at, ev.seq))
+    sim.handler = lambda ev: log.append((ev.fire_at, ev.payload))
     expected = []
-    for _ in range(500):
+    for i in range(500):  # i is the insertion order
         t = rng.randrange(0, 10_000)
-        ev = sim.schedule(t, EventKind.TIMER_EXPIRY)
-        expected.append((t, ev.seq))
+        sim.schedule(t, EventKind.TIMER_EXPIRY, payload=i)
+        expected.append((t, i))
     sim.run_until(10_000)
     assert log == sorted(expected)
 

@@ -96,12 +96,12 @@ def test_route_break_drops_exactly_one_packet_then_reanchors():
     extra = {14: mirror[3], 15: mirror[4], 16: mirror[5], 17: mirror[6]}
     positions.update(extra)
     duration = 20.0
-    traces = [trace_from_waypoints(n, duration, [(0.0, positions[n])])
+    traces = [trace_from_waypoints(duration, [(0.0, positions[n])])
               for n in sorted(positions)]
     # u1 (id 3) carries the first escape route, then leaves abruptly
     traces[3] = trace_from_waypoints(
-        3, duration, [(0.0, positions[3]), (6.2, positions[3]),
-                      (6.3, Position(100.0, 900.0))])
+        duration, [(0.0, positions[3]), (6.2, positions[3]),
+                   (6.3, Position(100.0, 900.0))])
     sc = Scenario(n_nodes=len(positions), protocol="crp", duration_s=duration,
                   seed=11, pause_s=duration, n_streams=1)
     engine = Engine(sc, traces=traces,
@@ -123,9 +123,9 @@ def test_greedy_mode_break_follows_retry_rule_not_drop():
     positions = {0: Position(0, 0), 1: Position(200, 0), 2: Position(400, 0),
                  3: Position(400, 150), 4: Position(600, 0)}
     duration = 20.0
-    traces = [trace_from_waypoints(n, duration, [(0.0, positions[n])])
+    traces = [trace_from_waypoints(duration, [(0.0, positions[n])])
               for n in range(5)]
-    traces[2] = trace_from_waypoints(2, duration,
+    traces[2] = trace_from_waypoints(duration,
                                      [(0.0, positions[2]), (6.2, positions[2]),
                                       (6.3, Position(400, 900))])
     sc = Scenario(n_nodes=5, protocol="crp", duration_s=duration, seed=13,
@@ -171,7 +171,7 @@ def test_reanchor_toggle_controls_route_loss_behavior(void_positions):
                      final_dst=VOID_D, created_at=0, ttl=32, size_bytes=512)
         pkt.geo = GeoHeader(dst_pos=void_positions[VOID_D],
                             mode=GeoMode.ROUTE)
-        engine.metrics.record_origination(uid, 0)
+        engine.metrics.record_origination(uid)
         return pkt
 
     on = static_engine(void_positions, "crp", duration_s=5.0, streams=[])

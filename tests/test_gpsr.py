@@ -220,9 +220,9 @@ def test_greedy_link_failure_evicts_and_retries_once():
     positions = {0: Position(0, 0), 1: Position(200, 0), 2: Position(400, 0),
                  3: Position(400, 150), 4: Position(600, 0)}
     duration = 20.0
-    traces = [trace_from_waypoints(n, duration, [(0.0, positions[n])])
+    traces = [trace_from_waypoints(duration, [(0.0, positions[n])])
               for n in range(5)]
-    traces[2] = trace_from_waypoints(2, duration,
+    traces[2] = trace_from_waypoints(duration,
                                      [(0.0, positions[2]), (6.2, positions[2]),
                                       (6.3, Position(400, 900))])
     sc = Scenario(n_nodes=5, protocol="gpsr", duration_s=duration, seed=9,

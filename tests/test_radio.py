@@ -109,8 +109,7 @@ def test_tx_delay_values():
 def test_broadcast_zero_neighbors_still_counts_once():
     positions = {0: Position(0, 0), 1: Position(900, 900)}
     radio, _, metrics = build_radio(positions)
-    deliveries = radio.broadcast(0, data_packet())
-    assert deliveries == []
+    assert radio.broadcast(0, data_packet()) == []
     assert metrics.transmissions_total == 1
 
 
@@ -118,12 +117,11 @@ def test_broadcast_receive_time_no_jitter():
     # 512 B at 2 Mb/s is 2.048 ms on the air plus 1 ms processing.
     positions = {0: Position(0, 0), 1: Position(100, 0), 2: Position(0, 100)}
     radio, sim, _ = build_radio(positions)
-    deliveries = radio.broadcast(0, data_packet())
-    expected = us(0.002048) + us(0.001)
-    assert [(r, t) for r, t in deliveries] == [(1, expected), (2, expected)]
-    # one arrival event carries every receiver, in id order
     arrivals = []
     sim.handler = lambda ev: arrivals.append((ev.payload[2], sim.now, ev.kind))
+    assert radio.broadcast(0, data_packet()) == [1, 2]
+    expected = us(0.002048) + us(0.001)
+    # one arrival event carries every receiver, in id order
     sim.run_until(us(1))
     assert arrivals == [((1, 2), expected, EventKind.PACKET_ARRIVAL)]
 
@@ -131,11 +129,14 @@ def test_broadcast_receive_time_no_jitter():
 def test_broadcast_jitter_range_and_spread():
     positions = {i: Position(0, i) for i in range(21)}
     config = Scenario(jitter_max_s=0.005)
-    radio, _, _ = build_radio(positions, config=config)
+    radio, sim, _ = build_radio(positions, config=config)
+    arrivals = record_arrivals(sim)
     base = us(0.002048) + us(0.001)
-    times = []
     for _ in range(50):  # 50 broadcasts x 20 receivers = 1000 draws
-        times.extend(t for _, t in radio.broadcast(0, data_packet()))
+        assert radio.broadcast(0, data_packet()) == list(range(1, 21))
+    sim.run_until(us(1))
+    assert all(len(receivers) == 1 for receivers, _ in arrivals)
+    times = [t for _, t in arrivals]
     assert len(times) == 1000
     assert all(base <= t <= base + us(0.005) for t in times)
     assert len(set(times)) > 1, "per-receiver jitter should spread arrivals"
@@ -163,9 +164,9 @@ def test_unicast_out_of_range_fails_synchronously():
 def test_mobile_receiver_outcome_decided_at_send_time():
     # Node 1 drifts away through the range boundary at 1 m/s; the verdict
     # follows the distance at the send instant, not at would-be receive time.
-    traces = [trace_from_waypoints(0, 10.0, [(0.0, Position(0, 0))]),
-              trace_from_waypoints(1, 10.0, [(0.0, Position(249, 0)),
-                                             (10.0, Position(259, 0))])]
+    traces = [trace_from_waypoints(10.0, [(0.0, Position(0, 0))]),
+              trace_from_waypoints(10.0, [(0.0, Position(249, 0)),
+                                          (10.0, Position(259, 0))])]
     sim = Simulator()
     sim.handler = lambda ev: None
     radio = Radio(Scenario(), traces, sim, RunMetrics(), rng_stream(1, "jitter"))

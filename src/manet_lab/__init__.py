@@ -2,7 +2,7 @@
 
 from .core import Simulator, SimTime, rng_stream, us
 from .engine import Engine, run_one
-from .geometry import Position, ccw_angle, dist
+from .geometry import Position, dist
 from .metrics import DropCause, MetricsRow
 from .mobility import WaypointTrace, position_at, random_waypoint_trace
 from .scenario import Scenario, load_scenario, parse_scenario
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CbrStream", "DropCause", "Engine", "MetricsRow", "Position", "Scenario",
-    "SimTime", "Simulator", "SweepPlan", "WaypointTrace", "ccw_angle", "dist",
+    "SimTime", "Simulator", "SweepPlan", "WaypointTrace", "dist",
     "load_scenario", "make_streams", "parse_scenario", "position_at",
     "random_waypoint_trace", "rng_stream", "run_one", "run_sweep", "us",
 ]

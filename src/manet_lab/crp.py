@@ -81,10 +81,12 @@ class CrpNode(BeaconMixin):
 
     def _forward_greedy(self, pkt: Packet) -> None:
         engine = self.engine
-        self_pos = engine.position(self.node)
+        now = engine.sim.now
+        # (x, y) floats, as in a Position: greedy_next_hop unpacks them
+        self_pos = engine.traces[self.node].coords_at(now)
         dst_pos = pkt.geo.dst_pos
         for attempt in (0, 1):  # one retry after a link failure
-            neighbors = self.nbrs.fresh(engine.now)
+            neighbors = self.nbrs.fresh(now)
             nh = greedy_next_hop(self_pos, neighbors, dst_pos)
             if nh is None:
                 self.on_local_maximum(pkt)

@@ -13,10 +13,6 @@ class OutOfTraceRange(ManetLabError):
     """A position query fell outside the time span covered by a trace."""
 
 
-class DegenerateEdge(ManetLabError):
-    """An angle was requested for an edge of zero length."""
-
-
 class DuplicateDelivery(ManetLabError):
     """The same data packet uid was delivered twice (routing loop bug)."""
 

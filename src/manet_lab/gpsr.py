@@ -9,10 +9,10 @@ where the walk began, then goes greedy again.
 """
 
 from dataclasses import dataclass
-from math import atan2, pi
+from math import atan2, hypot, pi
 
 from .core import SimTime, us
-from .geometry import TWO_PI, Position, dist, dist_sq
+from .geometry import TWO_PI, Position
 from .metrics import DropCause
 from .packets import GeoHeader, GeoMode, Packet, PacketKind
 from .radio import TxStatus
@@ -72,35 +72,46 @@ class NeighborTable:
 def greedy_next_hop(self_pos: Position, neighbors: list[NeighborEntry],
                     dst_pos: Position) -> int | None:
     """Neighbor closest to the destination among those strictly closer than
-    self; None marks a local maximum. Distance ties go to the lower id."""
-    own = dist(self_pos, dst_pos)
+    self; None marks a local maximum. Distance ties go to the lower id.
+
+    Positions are unpacked once and `hypot(ax - bx, ay - by)` is
+    `geometry.dist(a, b)` written out, so every distance is the same float."""
+    sx, sy = self_pos
+    dx, dy = dst_pos
     best = None
-    best_key = None
+    best_d = hypot(sx - dx, sy - dy)  # a candidate must beat self
     for e in neighbors:
-        d = dist(e.pos, dst_pos)
-        if d < own:
-            key = (d, e.neighbor)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = e.neighbor
+        ex, ey = e.pos
+        d = hypot(ex - dx, ey - dy)
+        if d < best_d or (d == best_d and best is not None and e.neighbor < best):
+            best_d = d
+            best = e.neighbor
     return best
 
 
 def planarize_gg(self_pos: Position,
                  neighbors: list[NeighborEntry]) -> list[NeighborEntry]:
     """Gabriel rule over the local view: keep the edge to v unless some other
-    neighbor sits strictly inside the circle whose diameter is (self, v)."""
-    to_self = [dist_sq(self_pos, w.pos) for w in neighbors]
+    neighbor w sits strictly inside the circle whose diameter is (self, v),
+    that is |self w|^2 + |w v|^2 < |self v|^2. Squared distances are
+    `dx * dx + dy * dy` of the coordinate differences. A w no nearer to self
+    than v cannot pass, since adding |w v|^2 >= 0 never lowers a float."""
+    sx, sy = self_pos
+    flat = []
+    for w in neighbors:
+        wx, wy = w.pos
+        dx = sx - wx
+        dy = sy - wy
+        flat.append((w.neighbor, wx, wy, dx * dx + dy * dy))
     kept = []
-    for v, sv in zip(neighbors, to_self):
-        ok = True
-        for w, sw in zip(neighbors, to_self):
-            if w.neighbor == v.neighbor:
-                continue
-            if sw + dist_sq(w.pos, v.pos) < sv:
-                ok = False
-                break
-        if ok:
+    for v, (vn, vx, vy, sv) in zip(neighbors, flat):
+        for wn, wx, wy, sw in flat:
+            if sw < sv and wn != vn:
+                dx = wx - vx
+                dy = wy - vy
+                if sw + (dx * dx + dy * dy) < sv:
+                    break
+        else:
             kept.append(v)
     return kept
 
@@ -112,29 +123,31 @@ def perimeter_next_hop(self_pos: Position, planar: list[NeighborEntry],
     the walk starts here). The arrival edge itself is the last resort, which
     handles degenerate single-edge faces by sending the packet back.
 
-    The sweep is `geometry.sweep_from_ray(self_pos, ref_pos, e.pos)` written
-    out, with the reference ray's angle taken once per call."""
-    sx, sy = self_pos.x, self_pos.y
-    degenerate_ref = ref_pos == self_pos  # coincident points define no ray
+    The sweep of an edge is `(atan2(cand - self) - atan2(self - ref)) mod
+    2 pi`, turned by pi so that it is measured from the ray toward ref, with
+    the reference ray's angle taken once per call."""
+    sx, sy = self_pos
+    rx, ry = ref_pos
+    degenerate_ref = rx == sx and ry == sy  # coincident points define no ray
     if not degenerate_ref:
-        # angle of the reversed reference ray, as in ccw_angle
-        ref_angle = atan2(sy - ref_pos.y, sx - ref_pos.x)
+        # angle of the reversed reference ray
+        ref_angle = atan2(sy - ry, sx - rx)
     best = None
-    best_key = None
+    best_sweep = 0.0
     for e in planar:
-        if e.pos == self_pos:
+        ex, ey = e.pos
+        if ex == sx and ey == sy:
             continue
-        if e.neighbor == arrived_from:
+        n = e.neighbor
+        if n == arrived_from:
             sweep = TWO_PI
         elif degenerate_ref:
             sweep = 0.0
         else:
-            p = e.pos
-            sweep = ((atan2(p.y - sy, p.x - sx) - ref_angle) % TWO_PI + pi) % TWO_PI
-        key = (sweep, e.neighbor)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = e.neighbor
+            sweep = ((atan2(ey - sy, ex - sx) - ref_angle) % TWO_PI + pi) % TWO_PI
+        if best is None or sweep < best_sweep or (sweep == best_sweep and n < best):
+            best_sweep = sweep
+            best = n
     return best
 
 
@@ -190,8 +203,7 @@ class GpsrNode(BeaconMixin):
         place, so a paused node whose neighbors repeat their coordinates
         reuses its last result; an entry made anew after an eviction or a
         timeout misses, so the result holds the table's current entries."""
-        key = (self_pos.x, self_pos.y,
-               [(e, e.pos.x, e.pos.y) for e in neighbors])
+        key = (self_pos, [(e, e.pos) for e in neighbors])
         if key != self._planar_key:
             self._planar_key = key
             self._planar = planarize_gg(self_pos, neighbors)
@@ -213,18 +225,23 @@ class GpsrNode(BeaconMixin):
 
     def forward(self, pkt: Packet, arrived_from: int | None) -> None:
         engine = self.engine
-        if pkt.final_dst == self.node:
-            engine.deliver(self.node, pkt)
+        node = self.node
+        if pkt.final_dst == node:
+            engine.deliver(node, pkt)
             return
         g = pkt.geo
-        now = engine.now
-        self_pos = engine.position(self.node)
-        if (g.mode is GeoMode.PERIMETER
-                and dist(self_pos, g.dst_pos) < dist(g.loc_entry, g.dst_pos)):
-            # strictly closer than where the walk began: back to greedy
-            g.mode = GeoMode.GREEDY
-            g.loc_entry = None
-            g.first_edge = None
+        now = engine.sim.now
+        # (x, y) floats, as in a Position: the hop decisions unpack them
+        self_pos = engine.traces[node].coords_at(now)
+        if g.mode is GeoMode.PERIMETER:
+            sx, sy = self_pos
+            dx, dy = g.dst_pos
+            lx, ly = g.loc_entry
+            if hypot(sx - dx, sy - dy) < hypot(lx - dx, ly - dy):
+                # strictly closer than where the walk began: back to greedy
+                g.mode = GeoMode.GREEDY
+                g.loc_entry = None
+                g.first_edge = None
         if pkt.ttl < 1:
             engine.drop(pkt, DropCause.TTL)
             return
@@ -245,7 +262,7 @@ class GpsrNode(BeaconMixin):
                         return
                     g.mode = GeoMode.PERIMETER
                     g.loc_entry = self_pos
-                    g.first_edge = (self.node, nh)
+                    g.first_edge = (node, nh)
                     entered_here = True
             else:
                 planar = self.planar_view(self_pos, neighbors)
@@ -258,14 +275,15 @@ class GpsrNode(BeaconMixin):
                 if nh is None:
                     engine.drop(pkt, DropCause.PERIMETER)
                     return
-                if (self.node, nh) == g.first_edge:
+                if (node, nh) == g.first_edge:
                     # about to retrace the first perimeter edge: the face
                     # walk is exhausted and the destination unreachable
                     engine.drop(pkt, DropCause.PERIMETER)
                     return
-            outcome = engine.radio.unicast(self.node, nh, pkt)
+            outcome = engine.radio.unicast(node, nh, pkt)
             if outcome.status is TxStatus.DELIVERED:
-                engine.note_hop(pkt, self.node, g.mode.value)
+                if engine.hop_log is not None:
+                    engine.note_hop(pkt, node, g.mode.value)
                 return
             self.nbrs.evict(nh)
             if entered_here:  # failed on the entry edge: re-decide from greedy

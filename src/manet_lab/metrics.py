@@ -97,7 +97,9 @@ class RunMetrics:
 
     def record_transmission(self, kind: PacketKind) -> None:
         self.transmissions_total += 1
-        self.transmissions_by_kind[kind.value] += 1
+        # _value_ is the member's plain attribute: .value is a Python-level
+        # property, and keying by the member would call Enum.__hash__
+        self.transmissions_by_kind[kind._value_] += 1
 
     def record_delivery(self, uid: int, created_at: SimTime, now: SimTime) -> None:
         if uid in self._delivered_uids:

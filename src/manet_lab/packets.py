@@ -34,7 +34,7 @@ class AodvHeader:
 class GeoHeader:
     dst_pos: Position  # omniscient location service at origination; never updated
     mode: GeoMode = GeoMode.GREEDY
-    loc_entry: Position | None = None          # where perimeter mode began
+    loc_entry: tuple[float, float] | None = None  # (x, y) where perimeter mode began
     first_edge: tuple[int, int] | None = None  # first perimeter edge taken
 
 

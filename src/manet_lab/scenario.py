@@ -18,6 +18,13 @@ MAX_TRACE_LEGS = 1_000_000
 # in scenarios/ emits 250,000 data packets (25 pkt/s, 500 s) and sends
 # 50,000 beacons (100 nodes, 500 s).
 MAX_PACKETS = 10_000_000
+# Upper bound on the data hops, n_streams * rate_pps * duration_s * data_ttl:
+# each hop spends one unit of a packet's data_ttl. With hops of 0 us, a
+# perimeter loop would otherwise go on at one instant until a huge data_ttl
+# runs out. The bound is MAX_PACKETS packets at the default data_ttl of 32,
+# so it binds only where data_ttl is raised; the largest sweep in
+# scenarios/ needs 250,000 * 32 = 8e6.
+MAX_DATA_HOPS = 320_000_000
 
 _TRUE = {"on", "true", "yes", "1"}
 _FALSE = {"off", "false", "no", "0"}
@@ -184,10 +191,17 @@ def validate_scenario(sc: Scenario) -> None:
     # Bound the legs the traces need. The mean distance between two uniform
     # waypoints is at least the mean |dx| = width / 3 (and |dy| = height / 3),
     # so the estimate is not below the expected leg count, give or take the
-    # first leg of each trace. The rule above keeps the divisor positive.
+    # first leg of each trace; and every trace has at least one leg. The
+    # rule above keeps the divisor positive.
     leg_s = sc.pause_s + max(sc.area_width, sc.area_height) / sc.speed_mps / 3
-    legs = sc.n_nodes * sc.duration_s / leg_s
+    per_node = sc.duration_s / leg_s
+    legs = sc.n_nodes * max(1.0, per_node)
     if legs > MAX_TRACE_LEGS:
+        if per_node <= 1:
+            raise ValidationError(
+                "the mobility traces would need at least one leg per node, "
+                f"{legs:.3g} legs, more than {MAX_TRACE_LEGS:,}; lower n_nodes",
+                field="n_nodes")
         raise ValidationError(
             f"the mobility traces would need about {legs:.3g} legs, more "
             f"than {MAX_TRACE_LEGS:,}; shorten the run, lengthen pause_s or "
@@ -200,6 +214,12 @@ def validate_scenario(sc: Scenario) -> None:
             f"(n_streams * rate_pps * duration_s), more than {MAX_PACKETS:,}; "
             "shorten the run, lower rate_pps or lower n_streams",
             field="duration_s")
+    hops = packets * sc.data_ttl
+    if hops > MAX_DATA_HOPS:
+        raise ValidationError(
+            f"the data packets could take about {hops:.3g} hops (n_streams * "
+            f"rate_pps * duration_s * data_ttl), more than {MAX_DATA_HOPS:,}; "
+            "lower data_ttl", field="data_ttl")
     # And the periodic timer, where one runs: each node sends about one
     # beacon or hello per interval. Beacon jitter is symmetric and max(1,
     # gap) only lengthens a gap, so only the interval's rounding to whole

@@ -15,7 +15,7 @@ import pytest
 
 from manet_lab.core import us
 from manet_lab.engine import run_one
-from manet_lab.geometry import Position, ccw_angle, dist
+from manet_lab.geometry import Position, dist
 from manet_lab.gpsr import NeighborEntry, planarize_gg
 from manet_lab.metrics import MetricsRow
 from manet_lab.scenario import load_scenario
@@ -25,6 +25,7 @@ from conftest import (VOID_D, VOID_POSITIONS, VOID_S, VOID_X, bfs_hops, cbr,
                       connected_random_positions, gabriel_edges,
                       one_shot_stream, random_positions,
                       segments_properly_cross, static_engine, unit_disk_adj)
+from reference_geometry import ccw_angle
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 

@@ -1,5 +1,7 @@
 """Entry-point behavior: exit codes, output files, and overrides."""
 
+from pathlib import Path
+
 import pytest
 
 from manet_lab.cli import main
@@ -143,6 +145,40 @@ def test_validate_bounds_emitted_packets(tmp_path, capsys, text, code):
      "beacon_interval_s"),
 ])
 def test_validate_bounds_periodic_timers(tmp_path, capsys, text, code, field):
+    path = write_scn(tmp_path, text)
+    assert main(["validate", str(path)]) == code
+    if code:
+        assert f"scenario error: {field}:" in capsys.readouterr().err
+
+
+STAGE1 = (Path(__file__).resolve().parent.parent / "scenarios"
+          / "stage1_load.scn").read_text()
+
+
+@pytest.mark.parametrize("text, code, field", [
+    # 0 us hops: a perimeter loop would go on at one instant until its
+    # data_ttl ran out (4.8e12 hops)
+    (STAGE1 + "protocol = gpsr\nduration_s = 60\ndata_ttl = 1000000000\n"
+     "processing_delay_s = 0\nbandwidth_bps = 1e12\n", 1, "data_ttl"),
+    # 20 streams * 4 pkt/s * 62500 s * 64 hops is exactly the bound of
+    # 320,000,000
+    ("duration_s = 62500\ndata_ttl = 64\n", 0, None),
+    ("duration_s = 62500.001\ndata_ttl = 64\n", 1, "data_ttl"),
+    # every trace has at least one leg, however short the run
+    (STAGE1 + "n_nodes = 100000000\nduration_s = 0.001\n", 1, "n_nodes"),
+    ("n_nodes = 1000000\nduration_s = 0.001\n", 0, None),
+    ("n_nodes = 1000001\nduration_s = 0.001\n", 1, "n_nodes"),
+], ids=["data_ttl repro", "data_ttl at bound", "data_ttl past bound",
+        "n_nodes repro", "n_nodes at bound", "n_nodes past bound"])
+def test_validate_bounds_data_hops_and_one_leg_per_node(tmp_path, capsys, monkeypatch,
+                                                        text, code, field):
+    import manet_lab.cli as cli_mod
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("validate must not start an engine")
+
+    monkeypatch.setattr(cli_mod, "Engine", no_engine)
+    monkeypatch.setattr(cli_mod, "run_one", no_engine)
     path = write_scn(tmp_path, text)
     assert main(["validate", str(path)]) == code
     if code:

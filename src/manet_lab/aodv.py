@@ -123,6 +123,10 @@ class ReactiveCore:
             + us(cfg.processing_delay_s)
         self._discovery_timeout = max(us(DISCOVERY_TIMEOUT_FLOOR_S),
                                       2 * self._rreq_ttl * per_hop)
+        # A flood crosses at most rreq_ttl hops, each taking at most per_hop
+        # plus the largest jitter, so its last copy arrives within this
+        # window of its start, and so of any node's first sight of it.
+        self._seen_window = self._rreq_ttl * (per_hop + us(cfg.jitter_max_s))
 
     # -- forwarding ------------------------------------------------------
 
@@ -168,7 +172,7 @@ class ReactiveCore:
             aodv=AodvHeader(rreq_id=self.next_rreq_id, origin_seq=self.seq,
                             dst_seq=known.dst_seq if known else 0, hop_count=0),
         )
-        self.seen[(self.node, self.next_rreq_id)] = now
+        self._mark_seen((self.node, self.next_rreq_id), now)
         self.engine.note_flood(self.node, d.dst)
         self.engine.radio.broadcast(self.node, pkt)
         self.engine.schedule_timer(self.node, self._discovery_timeout,
@@ -210,7 +214,7 @@ class ReactiveCore:
         if pkt.origin == self.node or key in self.seen:
             return
         now = self.engine.now
-        self.seen[key] = now
+        self._mark_seen(key, now)
         # reverse path toward the flood's origin
         self.table.accept(pkt.origin, sender, hdr.hop_count + 1, hdr.origin_seq, now)
         if self.node == pkt.final_dst:
@@ -230,6 +234,20 @@ class ReactiveCore:
             fwd.ttl -= 1
             fwd.aodv.hop_count += 1
             self.engine.radio.broadcast(self.node, fwd)
+
+    def _mark_seen(self, key: tuple[int, int], now: SimTime) -> None:
+        """Remember a flood, first forgetting those no copy of which can
+        still arrive: a stamp older than now by more than the window. Stamps
+        are recorded in time order and never change, so the oldest come
+        first."""
+        seen = self.seen
+        cutoff = now - self._seen_window
+        while seen:
+            oldest = next(iter(seen))
+            if seen[oldest] >= cutoff:
+                break
+            del seen[oldest]
+        seen[key] = now
 
     def _send_rrep(self, subject: int, discovery_origin: int, to: int,
                    hop_count: int, dst_seq: int) -> None:

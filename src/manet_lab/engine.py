@@ -96,7 +96,8 @@ class Engine:
     def drop(self, pkt: Packet, cause: DropCause) -> None:
         if pkt.kind is PacketKind.DATA:
             self.metrics.record_drop(pkt.uid, cause)
-            self.note_hop(pkt, -1, f"dropped:{cause.value}")
+            if self.hop_log is not None:
+                self.note_hop(pkt, -1, f"dropped:{cause.value}")
         else:
             self.metrics.note_diagnostic(f"drop_{pkt.kind.value}")
 

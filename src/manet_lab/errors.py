@@ -13,12 +13,13 @@ class OutOfTraceRange(ManetLabError):
     """A position query fell outside the time span covered by a trace."""
 
 
-class DuplicateDelivery(ManetLabError):
-    """The same data packet uid was delivered twice (routing loop bug)."""
-
-
 class AccountingError(ManetLabError):
     """A metrics counter was driven inconsistently (double drop, unknown uid)."""
+
+
+class DuplicateDelivery(AccountingError):
+    """A data packet uid was delivered while not in flight: delivered twice
+    (a routing loop bug), delivered after a drop, or never sent."""
 
 
 class ParseError(ManetLabError):

@@ -88,8 +88,9 @@ class RunMetrics:
         self.drops: Counter = Counter()
         self.diagnostics: Counter = Counter()
         self._delay_sum_us = 0
+        # Only in-flight uids are kept, so a run's memory follows its
+        # in-flight packets, not its length.
         self._outstanding: set[int] = set()
-        self._delivered_uids: set[int] = set()
 
     def record_origination(self, uid: int) -> None:
         self.sent += 1
@@ -102,12 +103,10 @@ class RunMetrics:
         self.transmissions_by_kind[kind._value_] += 1
 
     def record_delivery(self, uid: int, created_at: SimTime, now: SimTime) -> None:
-        if uid in self._delivered_uids:
-            raise DuplicateDelivery(f"uid {uid} delivered twice")
         if uid not in self._outstanding:
-            raise AccountingError(f"delivery of unknown or already-terminal uid {uid}")
+            raise DuplicateDelivery(f"delivery of uid {uid}, which is not in "
+                                    "flight (never sent, or delivered or dropped before)")
         self._outstanding.discard(uid)
-        self._delivered_uids.add(uid)
         self.delivered += 1
         self._delay_sum_us += now - created_at
 

@@ -206,9 +206,16 @@ def validate_scenario(sc: Scenario) -> None:
             f"the mobility traces would need about {legs:.3g} legs, more "
             f"than {MAX_TRACE_LEGS:,}; shorten the run, lengthen pause_s or "
             "lower speed_mps", field="duration_s")
-    # Bound the traffic too: the run handles every packet the streams emit.
-    packets = sc.n_streams * sc.rate_pps * sc.duration_s
+    # Bound the traffic too: the run handles every packet the streams emit,
+    # and every stream emits its first packet, however short the run.
+    per_stream = sc.rate_pps * sc.duration_s
+    packets = sc.n_streams * max(1.0, per_stream)
     if packets > MAX_PACKETS:
+        if per_stream <= 1:
+            raise ValidationError(
+                f"every stream emits at least one packet, {packets:.3g} in "
+                f"all, more than {MAX_PACKETS:,}; lower n_streams",
+                field="n_streams")
         raise ValidationError(
             f"the streams would emit about {packets:.3g} packets "
             f"(n_streams * rate_pps * duration_s), more than {MAX_PACKETS:,}; "

@@ -1,12 +1,17 @@
 """Route discovery, reply handling, maintenance, and the BFS optimality law."""
 
+import dataclasses
+import os
 import random
 
+import pytest
+
+from manet_lab.aodv import ReactiveCore
 from manet_lab.core import us
 from manet_lab.engine import Engine
 from manet_lab.geometry import Position
-from manet_lab.packets import AodvHeader, Packet, PacketKind
-from manet_lab.scenario import Scenario
+from manet_lab.packets import AodvHeader, Packet, PacketKind, clone
+from manet_lab.scenario import Scenario, load_scenario
 
 from conftest import (bfs_hops, cbr, connected_random_positions, one_shot_stream,
                       static_engine, static_traces, trace_from_waypoints,
@@ -76,7 +81,6 @@ def test_duplicate_rreq_ignored_and_reverse_path_kept():
     node.core.handle_rreq(rreq, sender=1)
     first = node.core.table.get(0)
     assert first.next_hop == 1 and first.hop_count == 2
-    from manet_lab.packets import clone
     dup = clone(rreq)
     node.core.handle_rreq(dup, sender=3)  # same flood via another neighbor
     again = node.core.table.get(0)
@@ -291,3 +295,131 @@ def test_hello_loss_invalidates_routes():
     entry = engine.protocols[0].core.table.get(2)
     assert entry is not None and not entry.active
     assert engine.metrics.transmissions_by_kind["rerr"] >= 1
+
+
+# -- the duplicate cache forgets floods no copy of which can still arrive ----
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def stage1(protocol: str, duration_s: float, **overrides) -> Scenario:
+    base = load_scenario(os.path.join(SCENARIO_DIR, "stage1_load.scn"))
+    return dataclasses.replace(base, protocol=protocol, seed=3,
+                               duration_s=duration_s, **overrides)
+
+
+def rreq_from(origin: int, rreq_id: int, uid: int) -> Packet:
+    return Packet(uid=uid, kind=PacketKind.RREQ, origin=origin, final_dst=9,
+                  created_at=0, ttl=32, size_bytes=64,
+                  aodv=AodvHeader(rreq_id=rreq_id, origin_seq=1, dst_seq=0,
+                                  hop_count=1))
+
+
+def test_copy_at_the_window_edge_is_still_suppressed():
+    engine = static_engine(CHAIN, "aodv", duration_s=1.0, streams=[])
+    node = engine.protocols[2]
+    core = node.core
+    # rreq_ttl * (64 bytes at 2 Mb/s + 1 ms of processing)
+    assert core._seen_window == 32 * (256 + 1000)
+    flood = rreq_from(origin=0, rreq_id=1, uid=90)
+    core.handle_rreq(flood, sender=1)  # first sight at t = 0
+    # Another flood first seen at exactly stamp + W keeps the first one.
+    engine.sim.now = core._seen_window
+    core.handle_rreq(rreq_from(origin=3, rreq_id=1, uid=91), sender=3)
+    assert (0, 1) in core.seen
+    relayed = engine.metrics.transmissions_by_kind["rreq"]
+    node.on_packet(clone(flood), sender=3)  # a copy at stamp + W
+    assert engine.metrics.transmissions_by_kind["rreq"] == relayed
+    assert core.table.get(0).next_hop == 1
+    # One microsecond later the first flood is forgotten, the second kept.
+    engine.sim.now = core._seen_window + 1
+    core.handle_rreq(rreq_from(origin=3, rreq_id=2, uid=92), sender=3)
+    assert list(core.seen) == [(3, 1), (3, 2)]
+
+
+EXPIRY_CASES = {
+    "aodv": ("aodv", {}),
+    "crp": ("crp", {}),
+    # Jitter up to 20 ms: a flood's copies spread over far more than
+    # rreq_ttl * (on-air time + processing).
+    "aodv-jitter": ("aodv", {"jitter_max_s": 0.02}),
+    "crp-jitter": ("crp", {"jitter_max_s": 0.02}),
+    # Floods that run out of hops: the window is nearly tight.
+    "aodv-short-ttl": ("aodv", {"rreq_ttl": 3, "jitter_max_s": 0.002}),
+    # Every hop takes 0 us, so a whole flood happens at one instant.
+    "aodv-zero-window": ("aodv", {"processing_delay_s": 0.0,
+                                  "bandwidth_bps": 1e12}),
+}
+
+
+@pytest.mark.parametrize("case", EXPIRY_CASES)
+def test_no_rreq_arrives_for_a_forgotten_flood(case, monkeypatch):
+    protocol, overrides = EXPIRY_CASES[case]
+    expired: dict[int, set[tuple[int, int]]] = {}
+    mark_seen = ReactiveCore._mark_seen
+
+    def recording_mark_seen(core, key, now):
+        before = set(core.seen)
+        mark_seen(core, key, now)
+        expired.setdefault(core.node, set()).update(before - core.seen.keys())
+        assert min(core.seen.values()) >= now - core._seen_window
+
+    monkeypatch.setattr(ReactiveCore, "_mark_seen", recording_mark_seen)
+    # Nodes rest for the first 40 s, so most floods come after that.
+    engine = Engine(stage1(protocol, 100.0, **overrides))
+    late = []
+    for proto in engine.protocols:
+        def checked(pkt, sender, on_packet=proto.on_packet, node=proto.node):
+            if pkt.kind is PacketKind.RREQ and \
+                    (pkt.origin, pkt.aodv.rreq_id) in expired.get(node, ()):
+                late.append((node, pkt.origin, pkt.aodv.rreq_id, engine.now))
+            on_packet(pkt, sender)
+        proto.on_packet = checked
+    engine.run()
+    if case == "aodv-zero-window":
+        assert engine.protocols[0].core._seen_window == 0
+    assert sum(map(len, expired.values())) > 1000
+    assert late == []
+
+
+@pytest.fixture(scope="module")
+def stage1_aodv_runs():
+    runs = {}
+    for duration_s in (50.0, 150.0):
+        engine = Engine(stage1("aodv", duration_s))
+        engine.run()
+        runs[duration_s] = engine
+    return runs
+
+
+def test_seen_holds_one_window_of_floods(stage1_aodv_runs):
+    totals = {}
+    for duration_s, engine in stage1_aodv_runs.items():
+        starts = [t for _, _, t in engine.flood_log]
+        totals[duration_s] = 0
+        for proto in engine.protocols:
+            core = proto.core
+            if not core.seen:
+                continue
+            window = core._seen_window
+            newest = max(core.seen.values())
+            # Nothing older than one window before the last insertion.
+            assert min(core.seen.values()) >= newest - window
+            # Each entry is a flood started at most one window before it was
+            # first seen, and so at most two before the newest stamp.
+            in_reach = sum(newest - 2 * window <= t <= newest for t in starts)
+            assert len(core.seen) <= in_reach
+            totals[duration_s] += len(core.seen)
+    # Three times the horizon and over ten times the floods, and no more
+    # entries: a node keeps a flood only while copies of it may arrive.
+    floods = {d: len(engine.flood_log) for d, engine in stage1_aodv_runs.items()}
+    assert floods[150.0] > 10 * floods[50.0]
+    assert totals[150.0] <= totals[50.0]
+
+
+def test_run_metrics_keep_no_state_per_delivered_packet(stage1_aodv_runs):
+    metrics = stage1_aodv_runs[150.0].metrics
+    assert metrics.delivered > 5_000
+    for name, value in vars(metrics).items():
+        if hasattr(value, "__len__"):
+            assert len(value) <= max(metrics.in_flight, 16), name

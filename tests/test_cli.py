@@ -131,6 +131,19 @@ def test_validate_bounds_emitted_packets(tmp_path, capsys, text, code):
         assert "rate_pps" in err and "duration_s" in err
 
 
+@pytest.mark.parametrize("text, code", [
+    # 4e5 packets by rate_pps * duration_s, but every stream starts within
+    # the run and emits its first packet: 1e8 of them
+    ("n_streams = 100000000\nduration_s = 0.001\n", 1),
+    ("n_streams = 10000000\nduration_s = 0.001\n", 0),
+])
+def test_validate_counts_a_packet_per_stream(tmp_path, capsys, text, code):
+    path = write_scn(tmp_path, text)
+    assert main(["validate", str(path)]) == code
+    if code:
+        assert "n_streams" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, code, field", [
     ("protocol = gpsr\nbeacon_interval_s = 1e-7\nbeacon_jitter_s = 0\n", 1,
      "beacon_interval_s"),

@@ -104,6 +104,21 @@ def test_duplicate_delivery_raises():
         m.record_delivery(1, 0, 20)
 
 
+def test_delivery_of_a_uid_never_sent_raises():
+    m = RunMetrics()
+    m.record_origination(1)
+    with pytest.raises(AccountingError):
+        m.record_delivery(2, 0, 10)
+
+
+def test_delivery_after_a_drop_raises():
+    m = RunMetrics()
+    m.record_origination(1)
+    m.record_drop(1, DropCause.TTL)
+    with pytest.raises(DuplicateDelivery):
+        m.record_delivery(1, 0, 10)
+
+
 def test_drop_of_unknown_uid_raises():
     m = RunMetrics()
     with pytest.raises(AccountingError):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .core import SimTime, us
 from .metrics import DropCause
-from .packets import AodvHeader, Packet, PacketKind
-from .radio import TxStatus, clone
+from .packets import DATA, HELLO, RERR, RREP, RREQ, AodvHeader, Packet
+from .radio import LINK_FAILURE, clone
 
 DISCOVERY_TIMEOUT_FLOOR_S = 0.1
 
@@ -140,7 +140,7 @@ class ReactiveCore:
         pkt.ttl -= 1
         self.table.refresh(entry, engine.now)
         outcome = engine.radio.unicast(self.node, entry.next_hop, pkt)
-        if outcome.status is TxStatus.LINK_FAILURE:
+        if outcome is LINK_FAILURE:
             self.owner.on_link_failure(entry.next_hop, pkt)
         else:
             engine.note_hop(pkt, self.node, tag)
@@ -166,7 +166,7 @@ class ReactiveCore:
         self.next_rreq_id += 1
         known = self.table.get(d.dst)
         pkt = Packet(
-            uid=self.engine.next_uid(), kind=PacketKind.RREQ,
+            uid=self.engine.next_uid(), kind=RREQ,
             origin=self.node, final_dst=d.dst, created_at=now,
             ttl=self._rreq_ttl, size_bytes=self._control_size,
             aodv=AodvHeader(rreq_id=self.next_rreq_id, origin_seq=self.seq,
@@ -252,7 +252,7 @@ class ReactiveCore:
     def _send_rrep(self, subject: int, discovery_origin: int, to: int,
                    hop_count: int, dst_seq: int) -> None:
         pkt = Packet(
-            uid=self.engine.next_uid(), kind=PacketKind.RREP,
+            uid=self.engine.next_uid(), kind=RREP,
             origin=subject, final_dst=discovery_origin,
             created_at=self.engine.now, ttl=self._rreq_ttl,
             size_bytes=self._control_size,
@@ -260,7 +260,7 @@ class ReactiveCore:
                             hop_count=hop_count),
         )
         outcome = self.engine.radio.unicast(self.node, to, pkt)
-        if outcome.status is TxStatus.LINK_FAILURE:
+        if outcome is LINK_FAILURE:
             self.owner.on_link_failure(to, pkt)
 
     def handle_rrep(self, pkt: Packet, sender: int) -> None:
@@ -285,7 +285,7 @@ class ReactiveCore:
         hdr.hop_count += 1
         self.table.refresh(back, now)
         outcome = self.engine.radio.unicast(self.node, back.next_hop, pkt)
-        if outcome.status is TxStatus.LINK_FAILURE:
+        if outcome is LINK_FAILURE:
             self.owner.on_link_failure(back.next_hop, pkt)
 
 
@@ -337,18 +337,18 @@ class AodvNode:
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
         kind = pkt.kind
-        if kind is PacketKind.DATA:
+        if kind is DATA:
             self._handle_data(pkt, sender)
-        elif kind is PacketKind.RREQ:
+        elif kind is RREQ:
             core = self.core
             # Most receptions of a flood are repeats: skip them without a call.
             if (pkt.origin, pkt.aodv.rreq_id) not in core.seen:
                 core.handle_rreq(pkt, sender)
-        elif kind is PacketKind.RREP:
+        elif kind is RREP:
             self.core.handle_rrep(pkt, sender)
-        elif kind is PacketKind.RERR:
+        elif kind is RERR:
             self._handle_rerr(pkt, sender)
-        elif kind is PacketKind.HELLO:
+        elif kind is HELLO:
             self._hello_heard[sender] = self.engine.now
 
     def _handle_data(self, pkt: Packet, sender: int) -> None:
@@ -370,7 +370,7 @@ class AodvNode:
         affected = self.core.table.invalidate_via(next_hop, self.engine.now)
         if affected:
             self._emit_rerr(affected)
-        if pkt.kind is PacketKind.DATA:
+        if pkt.kind is DATA:
             if pkt.origin == self.node:
                 # The source re-enters discovery with the packet re-buffered.
                 self.core.buffer_and_discover(pkt.final_dst, pkt)
@@ -381,7 +381,7 @@ class AodvNode:
 
     def _emit_rerr(self, affected: list[tuple[int, int]], ttl: int | None = None) -> None:
         pkt = Packet(
-            uid=self.engine.next_uid(), kind=PacketKind.RERR,
+            uid=self.engine.next_uid(), kind=RERR,
             origin=self.node, final_dst=-1, created_at=self.engine.now,
             ttl=self.engine.scenario.rreq_ttl if ttl is None else ttl,
             size_bytes=self.engine.scenario.control_size_bytes,
@@ -412,7 +412,7 @@ class AodvNode:
             if affected:
                 self._emit_rerr(affected)
         pkt = Packet(
-            uid=self.engine.next_uid(), kind=PacketKind.HELLO,
+            uid=self.engine.next_uid(), kind=HELLO,
             origin=self.node, final_dst=-1, created_at=now,
             ttl=1, size_bytes=self._hello_size,
         )

@@ -34,6 +34,14 @@ class EventKind(Enum):
     TRAFFIC_EMIT = "traffic_emit"
 
 
+# Enum members as module names for the hot paths: on Python 3.11 a read
+# through the class (`EventKind.PACKET_ARRIVAL`) goes through
+# `EnumType.__getattr__` and costs about ten times a module-name read.
+PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
+TIMER_EXPIRY = EventKind.TIMER_EXPIRY
+TRAFFIC_EMIT = EventKind.TRAFFIC_EMIT
+
+
 class Event(NamedTuple):
     """A queued occurrence and its own heap entry: `seq` is unique, so
     heap comparisons never get past it to `kind`."""

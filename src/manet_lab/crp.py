@@ -16,8 +16,8 @@ because greedy mode cannot work without neighbor coordinates.
 from .aodv import ReactiveCore, RouteEntry
 from .gpsr import BeaconMixin, greedy_next_hop
 from .metrics import DropCause
-from .packets import GeoHeader, GeoMode, Packet, PacketKind
-from .radio import TxStatus
+from .packets import BEACON, DATA, GREEDY, ROUTE, RREP, RREQ, GeoHeader, Packet
+from .radio import DELIVERED
 
 
 class CrpNode(BeaconMixin):
@@ -44,16 +44,16 @@ class CrpNode(BeaconMixin):
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
         kind = pkt.kind
-        if kind is PacketKind.BEACON:
+        if kind is BEACON:
             self.nbrs.update(sender, pkt.src_pos, self.engine.sim.now)
-        elif kind is PacketKind.DATA:
+        elif kind is DATA:
             self.forward(pkt)
-        elif kind is PacketKind.RREQ:
+        elif kind is RREQ:
             core = self.core
             # Most receptions of a flood are repeats: skip them without a call.
             if (pkt.origin, pkt.aodv.rreq_id) not in core.seen:
                 core.handle_rreq(pkt, sender)
-        elif kind is PacketKind.RREP:
+        elif kind is RREP:
             self.core.handle_rrep(pkt, sender)
         # RERR is never generated in this protocol; ignore strays.
 
@@ -65,7 +65,7 @@ class CrpNode(BeaconMixin):
         if pkt.ttl < 1:
             engine.drop(pkt, DropCause.TTL)
             return
-        if pkt.geo.mode is GeoMode.GREEDY:
+        if pkt.geo.mode is GREEDY:
             self._forward_greedy(pkt)
         else:
             entry = self.core.table.lookup_active(pkt.final_dst, engine.now)
@@ -93,7 +93,7 @@ class CrpNode(BeaconMixin):
                 return
             pkt.ttl -= 1
             outcome = engine.radio.unicast(self.node, nh, pkt)
-            if outcome.status is TxStatus.DELIVERED:
+            if outcome is DELIVERED:
                 engine.note_hop(pkt, self.node, "geo_greedy")
                 return
             pkt.ttl += 1  # the hop did not happen
@@ -112,7 +112,7 @@ class CrpNode(BeaconMixin):
         self.core.buffer_and_discover(pkt.final_dst, pkt)
 
     def _switch_to_route(self, pkt: Packet) -> None:
-        pkt.geo.mode = GeoMode.ROUTE
+        pkt.geo.mode = ROUTE
 
     def _forget_link(self, next_hop: int) -> None:
         self.nbrs.evict(next_hop)
@@ -127,7 +127,7 @@ class CrpNode(BeaconMixin):
     def on_link_failure(self, next_hop: int, pkt: Packet) -> None:
         # No recovery: invalidate quietly and send no RERR; data is lost.
         self._forget_link(next_hop)
-        if pkt.kind is PacketKind.DATA:
+        if pkt.kind is DATA:
             self.engine.drop(pkt, DropCause.LINK_FAILURE)
         else:
             self.engine.metrics.note_diagnostic("control_link_failure")

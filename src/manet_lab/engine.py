@@ -8,13 +8,14 @@ so replications may execute in parallel processes but never share state.
 import itertools
 
 from .aodv import AodvNode
-from .core import EventKind, SimTime, Simulator, rng_stream, us
+from .core import (PACKET_ARRIVAL, TIMER_EXPIRY, TRAFFIC_EMIT, SimTime, Simulator,
+                   rng_stream, us)
 from .crp import CrpNode
 from .geometry import Position
 from .gpsr import GpsrNode
 from .metrics import DropCause, MetricsRow, RunMetrics
 from .mobility import WaypointTrace, position_at, random_waypoint_trace
-from .packets import Packet, PacketKind
+from .packets import DATA, Packet
 from .radio import Radio
 from .scenario import Scenario
 from .traffic import CbrStream, make_streams
@@ -94,7 +95,7 @@ class Engine:
         self.note_hop(pkt, node, "delivered")
 
     def drop(self, pkt: Packet, cause: DropCause) -> None:
-        if pkt.kind is PacketKind.DATA:
+        if pkt.kind is DATA:
             self.metrics.record_drop(pkt.uid, cause)
             if self.hop_log is not None:
                 self.note_hop(pkt, -1, f"dropped:{cause.value}")
@@ -102,35 +103,35 @@ class Engine:
             self.metrics.note_diagnostic(f"drop_{pkt.kind.value}")
 
     def schedule_timer(self, node: int, delay_us: SimTime, payload) -> None:
-        self.sim.schedule(self.sim.now + delay_us, EventKind.TIMER_EXPIRY,
+        self.sim.schedule(self.sim.now + delay_us, TIMER_EXPIRY,
                           node, payload)
 
     def note_flood(self, origin: int, dst: int) -> None:
         self.flood_log.append((origin, dst, self.sim.now))
 
     def note_hop(self, pkt: Packet, node: int, tag: str) -> None:
-        if self.hop_log is not None and pkt.kind is PacketKind.DATA:
+        if self.hop_log is not None and pkt.kind is DATA:
             self.hop_log.setdefault(pkt.uid, []).append((node, self.sim.now, tag))
 
     # -- event dispatch ----------------------------------------------------
 
     def _dispatch(self, ev) -> None:
         kind = ev.kind
-        if kind is EventKind.PACKET_ARRIVAL:
+        if kind is PACKET_ARRIVAL:
             pkt, sender, receivers = ev.payload
             protocols = self.protocols
             for receiver in receivers:
                 protocols[receiver].on_packet(pkt, sender)
-        elif kind is EventKind.TIMER_EXPIRY:
+        elif kind is TIMER_EXPIRY:
             self.protocols[ev.target].on_timer(ev.payload)
-        elif kind is EventKind.TRAFFIC_EMIT:
+        elif kind is TRAFFIC_EMIT:
             self._emit(ev.payload)
 
     def _emit(self, stream_idx: int) -> None:
         s = self.streams[stream_idx]
         now = self.sim.now
         pkt = Packet(
-            uid=self.next_uid(), kind=PacketKind.DATA, origin=s.src,
+            uid=self.next_uid(), kind=DATA, origin=s.src,
             final_dst=s.dst, created_at=now, ttl=self.scenario.data_ttl,
             size_bytes=s.packet_size,
         )
@@ -139,7 +140,7 @@ class Engine:
         self.protocols[s.src].originate(pkt)
         nxt = now + s.interval
         if nxt <= s.stop_at:
-            self.sim.schedule(nxt, EventKind.TRAFFIC_EMIT, s.src, stream_idx)
+            self.sim.schedule(nxt, TRAFFIC_EMIT, s.src, stream_idx)
 
     # -- run ----------------------------------------------------------------
 
@@ -149,7 +150,7 @@ class Engine:
                 proto.start()
             for idx, s in enumerate(self.streams):
                 if s.start_at <= self.duration:
-                    self.sim.schedule(s.start_at, EventKind.TRAFFIC_EMIT,
+                    self.sim.schedule(s.start_at, TRAFFIC_EMIT,
                                       s.src, idx)
         self.sim.run_until(self.duration)
         sc = self.scenario

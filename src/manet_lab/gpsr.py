@@ -14,8 +14,8 @@ from math import atan2, hypot, pi
 from .core import SimTime, us
 from .geometry import TWO_PI, Position
 from .metrics import DropCause
-from .packets import GeoHeader, GeoMode, Packet, PacketKind
-from .radio import TxStatus
+from .packets import BEACON, DATA, GREEDY, PERIMETER, GeoHeader, Packet
+from .radio import DELIVERED
 
 
 @dataclass
@@ -170,7 +170,7 @@ class BeaconMixin:
     def on_beacon_tick(self):
         engine = self.engine
         pkt = Packet(
-            uid=engine.next_uid(), kind=PacketKind.BEACON,
+            uid=engine.next_uid(), kind=BEACON,
             origin=self.node, final_dst=-1, created_at=engine.now,
             ttl=1, size_bytes=self._beacon_size,
             src_pos=engine.position(self.node),
@@ -218,9 +218,9 @@ class GpsrNode(BeaconMixin):
         self.forward(pkt, arrived_from=None)
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
-        if pkt.kind is PacketKind.BEACON:
+        if pkt.kind is BEACON:
             self.nbrs.update(sender, pkt.src_pos, self.engine.sim.now)
-        elif pkt.kind is PacketKind.DATA:
+        elif pkt.kind is DATA:
             self.forward(pkt, arrived_from=sender)
 
     def forward(self, pkt: Packet, arrived_from: int | None) -> None:
@@ -233,13 +233,13 @@ class GpsrNode(BeaconMixin):
         now = engine.sim.now
         # (x, y) floats, as in a Position: the hop decisions unpack them
         self_pos = engine.traces[node].coords_at(now)
-        if g.mode is GeoMode.PERIMETER:
+        if g.mode is PERIMETER:
             sx, sy = self_pos
             dx, dy = g.dst_pos
             lx, ly = g.loc_entry
             if hypot(sx - dx, sy - dy) < hypot(lx - dx, ly - dy):
                 # strictly closer than where the walk began: back to greedy
-                g.mode = GeoMode.GREEDY
+                g.mode = GREEDY
                 g.loc_entry = None
                 g.first_edge = None
         if pkt.ttl < 1:
@@ -249,7 +249,7 @@ class GpsrNode(BeaconMixin):
         for attempt in (0, 1):  # one retry after a link failure
             neighbors = self.nbrs.fresh(now)
             entered_here = False
-            if g.mode is GeoMode.GREEDY:
+            if g.mode is GREEDY:
                 nh = greedy_next_hop(self_pos, neighbors, g.dst_pos)
                 if nh is None:
                     if not self.perimeter_enabled:
@@ -260,7 +260,7 @@ class GpsrNode(BeaconMixin):
                     if nh is None:
                         engine.drop(pkt, DropCause.PERIMETER)
                         return
-                    g.mode = GeoMode.PERIMETER
+                    g.mode = PERIMETER
                     g.loc_entry = self_pos
                     g.first_edge = (node, nh)
                     entered_here = True
@@ -281,13 +281,13 @@ class GpsrNode(BeaconMixin):
                     engine.drop(pkt, DropCause.PERIMETER)
                     return
             outcome = engine.radio.unicast(node, nh, pkt)
-            if outcome.status is TxStatus.DELIVERED:
+            if outcome is DELIVERED:
                 if engine.hop_log is not None:
                     engine.note_hop(pkt, node, g.mode.value)
                 return
             self.nbrs.evict(nh)
             if entered_here:  # failed on the entry edge: re-decide from greedy
-                g.mode = GeoMode.GREEDY
+                g.mode = GREEDY
                 g.loc_entry = None
                 g.first_edge = None
         engine.drop(pkt, DropCause.LINK_FAILURE)

@@ -6,7 +6,9 @@ per-step movement events. Simulation time only moves forward, so each trace
 keeps a cursor on the leg its last query fell on; a query outside that leg
 finds its leg by binary search. `WaypointTrace.coords_at` returns raw
 (x, y) floats for callers that fill flat coordinate lists, and
-`position_at` wraps the same computation in a `Position`.
+`position_at` wraps the same computation in a `Position`. `phase_at`
+tells whether a node rests at t and until when, so the radio can keep a
+resting node's coordinates for the whole rest.
 """
 
 import random
@@ -51,6 +53,18 @@ class WaypointTrace:
             return ex, ey
         frac = (t - depart) / (arrive - depart)
         return sx + frac * (ex - sx), sy + frac * (ey - sy)
+
+    def phase_at(self, t: SimTime) -> tuple[bool, SimTime]:
+        """(rests, until): whether the node rests at t, which is when
+        `coords_at` returns its leg's end point, and the first instant after
+        t at which that may change: the leg's arrival while it moves, the
+        next departure (duration + 1 on the last leg) while it rests."""
+        if not self._lo <= t < self._hi:
+            self._seek(t)
+        arrive = self._cursor[1]
+        if t >= arrive:
+            return True, self._hi
+        return False, min(arrive, self._hi)
 
     def _seek(self, t: SimTime) -> None:
         """Point the cursor at the last leg departing at or before t."""

@@ -22,6 +22,18 @@ class GeoMode(Enum):
     ROUTE = "route"          # crp: riding a discovered escape route
 
 
+# The members as module names for the per-packet paths; see core.py.
+DATA = PacketKind.DATA
+RREQ = PacketKind.RREQ
+RREP = PacketKind.RREP
+RERR = PacketKind.RERR
+BEACON = PacketKind.BEACON
+HELLO = PacketKind.HELLO
+GREEDY = GeoMode.GREEDY
+PERIMETER = GeoMode.PERIMETER
+ROUTE = GeoMode.ROUTE
+
+
 @dataclass
 class AodvHeader:
     rreq_id: int      # per-origin flood identifier

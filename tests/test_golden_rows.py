@@ -10,6 +10,10 @@ list and the Gabriel planarization) from both sides: on `stage1_load.scn`
 every node pauses for the first 40 s, so beacons repeat coordinates and the
 caches hit; on `stage2_mobility.scn` (pause 0) every node keeps moving, so
 they miss.
+
+The mixed rows run `stage2_mobility.scn` at pause 10 and 20 s, where at any
+instant some nodes rest and others move: they pin the radio's verdicts while
+nodes start and end rests, under jitter, hello traffic, crp and gpsr.
 """
 
 import dataclasses
@@ -75,4 +79,40 @@ GEO_GOLDEN = [
 def test_geographic_row_matches_pinned(scenario, protocol, row):
     base = load_scenario(os.path.join(SCENARIO_DIR, f"{scenario}.scn"))
     sc = dataclasses.replace(base, protocol=protocol, seed=3, duration_s=60.0)
+    assert run_one(sc).to_csv_row() == row
+
+
+MIXED_GOLDEN = [
+    (10.0, "aodv", 0.002, False,
+     "aodv,stage2_mobility,3,30,10.0,4.0,4388,3995,0.9104375569735643,"
+     "13.042250813516896,23038,0,86,306,0,0"),
+    (10.0, "aodv", 0.0, True,
+     "aodv,stage2_mobility,3,30,10.0,4.0,4388,3979,0.9067912488605288,"
+     "9.846751445086706,25394,0,85,324,0,0"),
+    (10.0, "crp", 0.0, False,
+     "crp,stage2_mobility,3,30,10.0,4.0,4388,4017,0.9154512306289881,"
+     "8.451205875031118,19457,8,40,322,0,0"),
+    (10.0, "gpsr", 0.0, False,
+     "gpsr,stage2_mobility,3,30,10.0,4.0,4388,3980,0.9070191431175935,"
+     "8.966327638190954,19620,159,30,0,0,219"),
+    (20.0, "aodv", 0.002, False,
+     "aodv,stage2_mobility,3,30,20.0,4.0,4388,4039,0.9204649042844121,"
+     "15.103820747709829,22589,0,89,260,0,0"),
+    (20.0, "aodv", 0.0, True,
+     "aodv,stage2_mobility,3,30,20.0,4.0,4388,3971,0.904968094804011,"
+     "11.35132712163183,25071,0,77,340,0,0"),
+    (20.0, "crp", 0.0, False,
+     "crp,stage2_mobility,3,30,20.0,4.0,4388,4081,0.9300364630811303,"
+     "10.264064935064935,20258,12,52,242,0,0"),
+    (20.0, "gpsr", 0.0, False,
+     "gpsr,stage2_mobility,3,30,20.0,4.0,4388,4018,0.9156791248860529,"
+     "13.005204579392732,23246,117,35,0,0,218"),
+]
+
+
+@pytest.mark.parametrize("pause, protocol, jitter, hello, row", MIXED_GOLDEN)
+def test_mixed_rest_motion_row_matches_pinned(pause, protocol, jitter, hello, row):
+    base = load_scenario(os.path.join(SCENARIO_DIR, "stage2_mobility.scn"))
+    sc = dataclasses.replace(base, protocol=protocol, seed=3, duration_s=60.0,
+                             pause_s=pause, jitter_max_s=jitter, aodv_hello=hello)
     assert run_one(sc).to_csv_row() == row

@@ -230,3 +230,179 @@ def test_overhead_once_per_primitive_call():
     radio.unicast(0, 1, data_packet())         # +1
     radio.unicast(0, 2, data_packet())         # +1
     assert metrics.transmissions_total == 3
+
+
+# -- rest tracking against a scan of all nodes -----------------------------
+
+class FrozenClock:
+    """The radio's view of the simulator: a settable `now`, and a
+    `schedule` that drops events, so verdicts can be taken at any instant,
+    backwards too."""
+
+    now = 0
+
+    def schedule(self, *args) -> None:
+        pass
+
+
+def phase_instants(traces, picker, spread=3, n_random=100):
+    """Every microsecond within `spread` of each departure and arrival, the
+    ends of the run, and `n_random` random instants."""
+    duration = traces[0].duration
+    instants = {0, duration}
+    for trace in traces:
+        for leg in trace.legs:
+            for edge in (leg.depart_at, leg.arrive_at):
+                instants.update(t for t in range(edge - spread, edge + spread + 1)
+                                if 0 <= t <= duration)
+    instants.update(picker.randrange(duration + 1) for _ in range(n_random))
+    return sorted(instants)
+
+
+def assert_radio_matches_scan(traces, instants, unicast_every=1):
+    """At each instant, in the order given: `coords_at` equals position_at
+    for every node, `neighbors` equals a scan of pairwise distances, and
+    every unicast verdict (at every `unicast_every`-th instant) is that
+    scan's range test. Unicasts go first at odd positions, so both entry
+    points meet a stale rest state."""
+    n = len(traces)
+    clock = FrozenClock()
+    sc = Scenario(n_nodes=n)
+    radio = Radio(sc, traces, clock, RunMetrics(), rng_stream(1, "jitter"))
+    pkt = data_packet()
+    scans = {}
+    for i, t in enumerate(instants):
+        if t not in scans:
+            here = [position_at(trace, t) for trace in traces]
+            near = [[b for b in range(n)
+                     if b != a and dist(here[a], here[b]) <= sc.radio_range]
+                    for a in range(n)]
+            scans[t] = here, near
+        here, near = scans[t]
+        clock.now = t
+        unicasts = i % unicast_every == 0
+        if unicasts and i % 2:
+            assert_unicast_verdicts(radio, near, pkt)
+        xs, ys = radio.coords_at(t)
+        assert list(zip(xs, ys)) == [(p.x, p.y) for p in here], t
+        for a in range(n):
+            assert radio.neighbors(a, t) == near[a], (t, a)
+        if unicasts and not i % 2:
+            assert_unicast_verdicts(radio, near, pkt)
+
+
+def assert_unicast_verdicts(radio, near, pkt):
+    """Every ordered pair's unicast delivers iff the scan links it."""
+    for a, linked in enumerate(map(set, near)):
+        for b in range(len(near)):
+            if b != a:
+                status = radio.unicast(a, b, pkt).status
+                assert (status is TxStatus.DELIVERED) == (b in linked), (a, b)
+
+
+def query_orders(instants, picker, n_back=None):
+    """Forwards, then backwards, then shuffled: a run only moves forward,
+    but the radio must answer any order."""
+    backwards = instants[::-1]
+    if n_back is not None:
+        backwards = sorted(picker.sample(instants, min(n_back, len(instants))),
+                           reverse=True)
+    shuffled = picker.sample(instants, len(backwards))
+    return instants + backwards + shuffled
+
+
+@pytest.mark.parametrize("pause_s, duration_s, seed", [(40.0, 150.0, 5), (0.0, 60.0, 6)])
+def test_rest_tracking_equals_scan_on_random_fields(pause_s, duration_s, seed):
+    # A pause-40 field rests most of the time; a pause-0 field only moves.
+    import random
+    from manet_lab.engine import build_traces
+    sc = Scenario(n_nodes=30, pause_s=pause_s, duration_s=duration_s, seed=seed)
+    traces = build_traces(sc)
+    picker = random.Random(seed)
+    instants = phase_instants(traces, picker)
+    order = query_orders(instants, picker, n_back=300)
+    assert_radio_matches_scan(traces, order, unicast_every=3)
+
+
+def hand_built_traces():
+    """Ten nodes over 10 s, resting, jumping and moving across one another.
+
+    Nodes 0 and 1 rest at exactly the range apart (a 150-200-250 triangle)
+    and node 2 rests on node 0. Node 3 rests, then a zero-length leg jumps
+    it onto node 1 at 2 s. Node 4 drives past node 0 and rests at 5 s.
+    Node 5 arrives at the very end of the run, so it rests only at
+    t == duration. Node 6 never rests. Node 7 rests on a zero-length leg
+    with no jump, then drives off. Node 8 drives onto node 0 in 1 us and
+    rests there. Node 9 rests across a leg boundary at one point."""
+    from manet_lab.mobility import Leg, WaypointTrace
+    P = Position
+    a, b = P(300.0, 400.0), P(450.0, 600.0)
+    legs = [
+        [Leg(0, a, a, 0)],
+        [Leg(0, b, b, 0)],
+        [Leg(0, a, a, 0)],
+        [Leg(0, P(900.0, 900.0), P(900.0, 900.0), 0),
+         Leg(us(2.0), P(900.0, 900.0), b, us(2.0))],
+        [Leg(0, P(0.0, 400.0), P(500.0, 400.0), us(5.0))],
+        [Leg(0, P(100.0, 100.0), P(1000.0, 100.0), us(10.0))],
+        [Leg(0, P(300.0, 0.0), P(300.0, 1000.0), us(4.0)),
+         Leg(us(4.0), P(300.0, 1000.0), P(300.0, 0.0), us(10.0) + 7)],
+        [Leg(0, P(550.0, 400.0), P(550.0, 400.0), 0),
+         Leg(us(3.0), P(550.0, 400.0), P(550.0, 800.0), us(6.0))],
+        [Leg(0, P(300.001, 400.0), a, 1)],
+        [Leg(0, P(500.0, 500.0), P(500.0, 650.0), us(1.0)),
+         Leg(us(1.5), P(500.0, 650.0), P(500.0, 650.0), us(1.5)),
+         Leg(us(2.5), P(500.0, 650.0), P(700.0, 650.0), us(3.5))],
+    ]
+    return [WaypointTrace(us(10.0), node_legs) for node_legs in legs]
+
+
+def test_rest_tracking_equals_scan_on_hand_built_traces():
+    import random
+    traces = hand_built_traces()
+    assert dist(position_at(traces[0], 0), position_at(traces[1], 0)) == 250.0
+    duration = traces[0].duration
+    # a rest that jumps to new coordinates at one instant
+    assert position_at(traces[3], us(2.0) - 1) == Position(900.0, 900.0)
+    assert position_at(traces[3], us(2.0)) == Position(450.0, 600.0)
+    assert traces[5].phase_at(duration - 1)[0] is False
+    assert traces[5].phase_at(duration) == (True, duration + 1)
+    picker = random.Random(3)
+    instants = phase_instants(traces, picker, n_random=50)
+    assert_radio_matches_scan(traces, query_orders(instants, picker))
+
+
+def test_resting_sender_list_follows_rests_that_start_and_end():
+    # Forward queries, as in a run. Each step changes the resting set that
+    # the resting senders 0 and 1 keep their lists over.
+    traces = hand_built_traces()
+    clock = FrozenClock()
+    radio = Radio(Scenario(n_nodes=len(traces)), traces, clock, RunMetrics(),
+                  rng_stream(1, "jitter"))
+    assert 3 not in radio.neighbors(1, us(2.0) - 1)
+    assert 3 in radio.neighbors(1, us(2.0))    # jumped onto node 1
+    assert 3 in radio.neighbors(0, us(2.0))    # and so exactly 250 m from 0
+    assert 4 in radio.neighbors(0, us(5.0) - 1)  # driving past
+    assert 4 in radio.neighbors(0, us(5.0))      # now resting 200 m away
+    assert 7 in radio.neighbors(0, us(3.0) - 1)
+    assert 7 not in radio.neighbors(0, us(6.0))  # drove off to (550, 800)
+    clock.now = traces[0].duration
+    assert radio.unicast(0, 1, data_packet()).status is TxStatus.DELIVERED
+    assert radio.unicast(1, 0, data_packet()).status is TxStatus.DELIVERED
+    assert radio.unicast(0, 4, data_packet()).status is TxStatus.DELIVERED
+
+
+def test_unicast_ahead_of_the_snapshot_leaves_it_exact():
+    # A unicast may bring the rest state past the snapshot's instant (node
+    # 4 comes to rest at 5 s); asking for that instant again must not mix
+    # in coordinates written for the later one.
+    traces = hand_built_traces()
+    clock = FrozenClock()
+    radio = Radio(Scenario(n_nodes=len(traces)), traces, clock, RunMetrics(),
+                  rng_stream(1, "jitter"))
+    before = us(5.0) - 1
+    expected = [tuple(position_at(trace, before)) for trace in traces]
+    assert list(zip(*radio.coords_at(before))) == expected
+    clock.now = us(5.0)
+    assert radio.unicast(0, 4, data_packet()).status is TxStatus.DELIVERED
+    assert list(zip(*radio.coords_at(before))) == expected

@@ -139,11 +139,16 @@ class ReactiveCore:
             return
         pkt.ttl -= 1
         self.table.refresh(entry, engine.now)
-        outcome = engine.radio.unicast(self.node, entry.next_hop, pkt)
-        if outcome is LINK_FAILURE:
-            self.owner.on_link_failure(entry.next_hop, pkt)
-        else:
+        if self._send(entry.next_hop, pkt):
             engine.note_hop(pkt, self.node, tag)
+
+    def _send(self, next_hop: int, pkt: Packet) -> bool:
+        """Unicast pkt one hop; a dead link goes to the owner's
+        `on_link_failure`. True if the hop was sent."""
+        if self.engine.radio.unicast(self.node, next_hop, pkt) is LINK_FAILURE:
+            self.owner.on_link_failure(next_hop, pkt)
+            return False
+        return True
 
     # -- discovery -----------------------------------------------------
 
@@ -208,6 +213,12 @@ class ReactiveCore:
 
     # -- flood handling ------------------------------------------------
 
+    def on_rreq(self, pkt: Packet, sender: int) -> None:
+        """A received flood copy. Most receptions of a flood are repeats:
+        only a first sight reaches `handle_rreq`."""
+        if (pkt.origin, pkt.aodv.rreq_id) not in self.seen:
+            self.handle_rreq(pkt, sender)
+
     def handle_rreq(self, pkt: Packet, sender: int) -> None:
         hdr = pkt.aodv
         key = (pkt.origin, hdr.rreq_id)
@@ -259,9 +270,7 @@ class ReactiveCore:
             aodv=AodvHeader(rreq_id=0, origin_seq=0, dst_seq=dst_seq,
                             hop_count=hop_count),
         )
-        outcome = self.engine.radio.unicast(self.node, to, pkt)
-        if outcome is LINK_FAILURE:
-            self.owner.on_link_failure(to, pkt)
+        self._send(to, pkt)
 
     def handle_rrep(self, pkt: Packet, sender: int) -> None:
         hdr = pkt.aodv
@@ -284,9 +293,7 @@ class ReactiveCore:
             return
         hdr.hop_count += 1
         self.table.refresh(back, now)
-        outcome = self.engine.radio.unicast(self.node, back.next_hop, pkt)
-        if outcome is LINK_FAILURE:
-            self.owner.on_link_failure(back.next_hop, pkt)
+        self._send(back.next_hop, pkt)
 
 
 class AodvNode:
@@ -340,10 +347,7 @@ class AodvNode:
         if kind is DATA:
             self._handle_data(pkt, sender)
         elif kind is RREQ:
-            core = self.core
-            # Most receptions of a flood are repeats: skip them without a call.
-            if (pkt.origin, pkt.aodv.rreq_id) not in core.seen:
-                core.handle_rreq(pkt, sender)
+            self.core.on_rreq(pkt, sender)
         elif kind is RREP:
             self.core.handle_rrep(pkt, sender)
         elif kind is RERR:

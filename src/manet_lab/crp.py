@@ -49,10 +49,7 @@ class CrpNode(BeaconMixin):
         elif kind is DATA:
             self.forward(pkt)
         elif kind is RREQ:
-            core = self.core
-            # Most receptions of a flood are repeats: skip them without a call.
-            if (pkt.origin, pkt.aodv.rreq_id) not in core.seen:
-                core.handle_rreq(pkt, sender)
+            self.core.on_rreq(pkt, sender)
         elif kind is RREP:
             self.core.handle_rrep(pkt, sender)
         # RERR is never generated in this protocol; ignore strays.

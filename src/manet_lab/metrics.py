@@ -18,6 +18,7 @@ from .packets import PacketKind
 
 
 class DropCause(Enum):
+    # In the order of the drop columns that end CSV_COLUMNS.
     TTL = "ttl"
     LINK_FAILURE = "link_failure"
     DISCOVERY_TIMEOUT = "discovery_timeout"
@@ -35,14 +36,6 @@ CSV_COLUMNS = [
     "transmissions_total",
     "drop_ttl", "drop_link", "drop_timeout", "drop_buffer", "drop_perimeter",
 ]
-
-_DROP_COLUMN_TO_CAUSE = {
-    "drop_ttl": DropCause.TTL.value,
-    "drop_link": DropCause.LINK_FAILURE.value,
-    "drop_timeout": DropCause.DISCOVERY_TIMEOUT.value,
-    "drop_buffer": DropCause.BUFFER.value,
-    "drop_perimeter": DropCause.PERIMETER.value,
-}
 
 
 @dataclass
@@ -69,7 +62,7 @@ class MetricsRow:
             str(self.sent), str(self.delivered), repr(self.delivery_ratio), delay,
             str(self.transmissions_total),
         ]
-        fields += [str(self.drops[_DROP_COLUMN_TO_CAUSE[col]]) for col in CSV_COLUMNS[11:]]
+        fields += [str(self.drops[key]) for key in DROP_KEYS]
         return ",".join(fields)
 
     @staticmethod

@@ -4,8 +4,9 @@ The channel is ideal: no collisions, no interference, no queueing loss. The
 only loss mechanisms in the model are route breakage and TTL expiry, so a
 unicast either schedules exactly one arrival or reports a link failure
 synchronously to the sender (the MAC-level callback the hybrid protocol
-relies on). The verdict is decided by node positions at send time, which
-the radio reads from the mobility traces.
+relies on). The verdict is decided by node positions at send time: a
+unicast reads its two nodes' mobility traces, and a broadcast reads the
+per-instant snapshot of every node, which alone keeps the rest state.
 
 A transmission schedules one `PACKET_ARRIVAL` whose payload is
 `(pkt, sender, receivers)`: a broadcast without jitter carries every
@@ -48,16 +49,17 @@ class Radio:
 
     The scenario gives `radio_range`, `bandwidth_bps`, `processing_delay_s`
     and `jitter_max_s` (per-receiver uniform jitter in [0, jitter_max_s]).
-    `traces[node]` gives each node's motion: a unicast reads the two nodes
-    it joins, and a broadcast reads every node through `coords_at`.
+    `traces[node]` gives each node's motion: a unicast reads the traces of
+    the two nodes it joins, and a broadcast reads every node through the
+    snapshot `coords_at`.
 
-    The radio tracks which nodes rest. A resting node's coordinates are its
-    leg's end point, the floats its trace returns for the whole rest, so
-    they are written once per rest and the per-instant refresh reads only
-    the moving traces. A resting sender keeps the sorted list of its resting
-    neighbors until any node starts or ends a rest, and scans only the
-    moving nodes on top. Every verdict is the same `hypot(...) <= range` on
-    the same floats as a scan of all nodes.
+    Only the snapshot tracks which nodes rest. A resting node's coordinates
+    are its leg's end point, the floats its trace returns for the whole
+    rest, so they are written once per rest and the per-instant refresh
+    reads only the moving traces. A resting sender keeps the sorted list of
+    its resting neighbors until any node starts or ends a rest, and scans
+    only the moving nodes on top. Every verdict is the same
+    `hypot(...) <= range` on the same floats as a scan of all nodes.
     """
 
     def __init__(self, scenario: Scenario, traces: list[WaypointTrace],
@@ -181,18 +183,9 @@ class Radio:
         """Send to one neighbor; out-of-range reports LinkFailure synchronously."""
         t = self._sim.now
         self._metrics.record_transmission(pkt.kind)
-        if not self._phase_from <= t < self._phase_until:
-            self._track_phases(t)
-        # a resting node's stored coordinates are the floats its trace gives
-        rests = self._rests
-        if rests[sender]:
-            sx, sy = self._xs[sender], self._ys[sender]
-        else:
-            sx, sy = self._traces[sender].coords_at(t)
-        if rests[next_hop]:
-            rx, ry = self._xs[next_hop], self._ys[next_hop]
-        else:
-            rx, ry = self._traces[next_hop].coords_at(t)
+        traces = self._traces
+        sx, sy = traces[sender].coords_at(t)
+        rx, ry = traces[next_hop].coords_at(t)
         # hypot(sender - receiver) is exactly geometry.dist(sender, receiver).
         if hypot(sx - rx, sy - ry) > self._range:
             return LINK_FAILURE

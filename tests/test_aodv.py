@@ -382,6 +382,38 @@ def test_no_rreq_arrives_for_a_forgotten_flood(case, monkeypatch):
     assert late == []
 
 
+@pytest.mark.parametrize("protocol", ["aodv", "crp"])
+def test_only_first_sights_reach_handle_rreq(protocol, monkeypatch):
+    handled: dict[int, list[tuple[int, int]]] = {}
+    handle_rreq = ReactiveCore.handle_rreq
+
+    def recording_handle_rreq(core, pkt, sender):
+        handled.setdefault(core.node, []).append((pkt.origin, pkt.aodv.rreq_id))
+        handle_rreq(core, pkt, sender)
+
+    monkeypatch.setattr(ReactiveCore, "handle_rreq", recording_handle_rreq)
+    engine = Engine(stage1(protocol, 60.0))
+    received: dict[int, set[tuple[int, int]]] = {}
+    receptions = 0
+    for proto in engine.protocols:
+        def recording(pkt, sender, on_packet=proto.on_packet, node=proto.node):
+            nonlocal receptions
+            if pkt.kind is PacketKind.RREQ:
+                receptions += 1
+                if pkt.origin != node:
+                    received.setdefault(node, set()).add(
+                        (pkt.origin, pkt.aodv.rreq_id))
+            on_packet(pkt, sender)
+        proto.on_packet = recording
+    engine.run()
+    # Each node hands every flood it hears, but its own, to handle_rreq
+    # once, at its first sight; the repeats, most receptions, never.
+    for node in range(engine.scenario.n_nodes):
+        assert sorted(handled.get(node, [])) == sorted(received.get(node, ())), node
+    calls = sum(map(len, handled.values()))
+    assert calls > 1000 and receptions > 3 * calls
+
+
 @pytest.fixture(scope="module")
 def stage1_aodv_runs():
     runs = {}

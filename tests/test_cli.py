@@ -179,12 +179,40 @@ STAGE1 = (Path(__file__).resolve().parent.parent / "scenarios"
     ("duration_s = 62500.001\ndata_ttl = 64\n", 1, "data_ttl"),
     # every trace has at least one leg, however short the run
     (STAGE1 + "n_nodes = 100000000\nduration_s = 0.001\n", 1, "n_nodes"),
-    ("n_nodes = 1000000\nduration_s = 0.001\n", 0, None),
+    # gpsr floods no discoveries, and its 1,000 beacons over 1 ms among
+    # 1e6 nodes are exactly the radio-scan bound too
+    ("protocol = gpsr\nn_nodes = 1000000\nduration_s = 0.001\n", 0, None),
     ("n_nodes = 1000001\nduration_s = 0.001\n", 1, "n_nodes"),
 ], ids=["data_ttl repro", "data_ttl at bound", "data_ttl past bound",
         "n_nodes repro", "n_nodes at bound", "n_nodes past bound"])
 def test_validate_bounds_data_hops_and_one_leg_per_node(tmp_path, capsys, monkeypatch,
                                                         text, code, field):
+    validate_without_engine(tmp_path, capsys, monkeypatch, text, code, field)
+
+
+@pytest.mark.parametrize("text, code", [
+    # one aodv flood among 1e6 nodes compares 1e12 node pairs
+    ("n_nodes = 1000000\nduration_s = 10\nn_streams = 1\n", 1),
+    # 10,000 nodes * 10,000 * (1 + 9 floods) is exactly the bound of 1e9
+    ("discovery_retries = 9\nn_nodes = 10000\n", 0),
+    ("discovery_retries = 9\nn_nodes = 10001\n", 1),
+    # gpsr floods nothing: 1,000 nodes * 1,000 s of 1 s beacons, each
+    # compared with 1,000 nodes, is exactly the bound
+    ("protocol = gpsr\nn_nodes = 1000\nduration_s = 1000\n", 0),
+    ("protocol = gpsr\nn_nodes = 1000\nduration_s = 1000.001\n", 1),
+    # the floods count where a protocol discovers routes
+    ("protocol = gpsr\nn_nodes = 20000\nduration_s = 0.001\n", 0),
+    ("protocol = crp\nn_nodes = 20000\nduration_s = 0.001\n", 1),
+    # the largest cell the scenario files document
+    ("protocol = crp\nn_nodes = 100\nrate_pps = 25\n", 0),
+], ids=["repro", "floods at bound", "floods past bound", "beacons at bound",
+        "beacons past bound", "gpsr floods none", "crp floods",
+        "largest sweep cell"])
+def test_validate_bounds_radio_scans(tmp_path, capsys, monkeypatch, text, code):
+    validate_without_engine(tmp_path, capsys, monkeypatch, text, code, "n_nodes")
+
+
+def validate_without_engine(tmp_path, capsys, monkeypatch, text, code, field):
     import manet_lab.cli as cli_mod
 
     def no_engine(*args, **kwargs):

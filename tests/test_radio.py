@@ -263,8 +263,8 @@ def assert_radio_matches_scan(traces, instants, unicast_every=1):
     """At each instant, in the order given: `coords_at` equals position_at
     for every node, `neighbors` equals a scan of pairwise distances, and
     every unicast verdict (at every `unicast_every`-th instant) is that
-    scan's range test. Unicasts go first at odd positions, so both entry
-    points meet a stale rest state."""
+    scan's range test. Unicasts go first at odd positions, so they meet a
+    snapshot and a rest state left at another instant."""
     n = len(traces)
     clock = FrozenClock()
     sc = Scenario(n_nodes=n)
@@ -393,9 +393,9 @@ def test_resting_sender_list_follows_rests_that_start_and_end():
 
 
 def test_unicast_ahead_of_the_snapshot_leaves_it_exact():
-    # A unicast may bring the rest state past the snapshot's instant (node
-    # 4 comes to rest at 5 s); asking for that instant again must not mix
-    # in coordinates written for the later one.
+    # A unicast at a later instant (node 4 comes to rest at 5 s) reads the
+    # traces, whose cursors move on; asking for the snapshot's instant again
+    # must not mix in coordinates of the later one.
     traces = hand_built_traces()
     clock = FrozenClock()
     radio = Radio(Scenario(n_nodes=len(traces)), traces, clock, RunMetrics(),

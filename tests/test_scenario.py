@@ -1,14 +1,15 @@
 """Scenario parsing, validation, and the defaults contract."""
 
 import dataclasses
+import itertools
 import re
 from pathlib import Path
 
 import pytest
 
 from manet_lab.errors import ParseError, ValidationError
-from manet_lab.scenario import (Scenario, format_scenario, parse_scenario,
-                                validate_scenario)
+from manet_lab.scenario import (PROTOCOLS, Scenario, format_scenario,
+                                parse_scenario, validate_scenario)
 
 TABLE1_TEXT = """\
 # stage 1 base: 30 nodes on a square kilometer
@@ -140,14 +141,15 @@ def test_readme_key_table_names_every_field():
 
 
 def test_repo_scenarios_validate_across_their_sweep_grids():
-    # The grids the scenario files document; 25 pkt/s over 500 s is the
-    # most traffic any of them emits.
+    # The grids the scenario files document, under every protocol and with
+    # hellos on; 25 pkt/s over 500 s is the most traffic any of them emits.
     scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
     grids = [("stage1_load.scn", "rate_pps", [1, 2, 4, 8, 16, 25]),
              ("stage2_mobility.scn", "pause_s", [0, 10, 20, 40]),
              ("stage2_mobility.scn", "n_nodes", [30, 50, 100])]
     for name, field, values in grids:
         text = (scenario_dir / name).read_text()
-        for value in values:
-            sc = parse_scenario(f"{text}\n{field} = {value}\n")
+        for value, protocol in itertools.product(values, PROTOCOLS):
+            sc = parse_scenario(f"{text}\n{field} = {value}\n"
+                                f"protocol = {protocol}\naodv_hello = on\n")
             assert getattr(sc, field) == value

@@ -6,7 +6,6 @@ dispatched in insertion order, which makes a whole run a pure function of its
 inputs (scenario plus seed).
 """
 
-import hashlib
 import heapq
 import random
 from enum import Enum
@@ -90,8 +89,20 @@ class Simulator:
         return dispatched
 
 
+# SHA-256 from the interpreter's built-in module (`_sha256` up to Python
+# 3.11, `_sha2` from 3.12), as `random` takes its sha512: `hashlib` loads
+# OpenSSL, a few MB that a run would spend on hashing six short labels.
+try:
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
 def _derive_seed(seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
+    digest = _sha256(f"{seed}|{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -25,13 +25,15 @@ MAX_PACKETS = 10_000_000
 # so it binds only where data_ttl is raised; the largest sweep in
 # scenarios/ needs 250,000 * 32 = 8e6.
 MAX_DATA_HOPS = 320_000_000
-# Upper bound on the node pairs the radio compares for one route discovery,
-# n_nodes**2 * (1 + discovery_retries), plus n_nodes per beacon or hello:
-# every broadcast compares its sender with every node, and every node
-# relays each flood once. One flood among 4,000 nodes, 1.6e7 pairs, takes
-# about 3 s of CPU with Python 3.11 on a 2-core host, so the bound is a few
-# minutes of scans. The largest sweep in scenarios/ needs 100**2 * 3 +
-# 100 * 50,000 = 5.03e6.
+# Upper bound on the node pairs the radio compares for the streams' first
+# route discoveries, n_nodes**2 * (1 + discovery_retries) each, plus n_nodes
+# per beacon or hello: every broadcast compares its sender with every node,
+# and every node relays each flood once. Each stream's source starts its
+# discovery at once, and a source floods once per destination, so there is
+# one discovery per stream, at most one per ordered node pair. One flood
+# among 4,000 nodes, 1.6e7 pairs, takes about 3 s of CPU with Python 3.11 on
+# a 2-core host, so the bound is a few minutes of scans. The largest sweep
+# in scenarios/ needs 100**2 * 3 * 20 + 100 * 50,000 = 5.6e6.
 MAX_RADIO_SCANS = 1_000_000_000
 
 _TRUE = {"on", "true", "yes", "1"}
@@ -252,15 +254,19 @@ def validate_scenario(sc: Scenario) -> None:
                 f"(n_nodes * duration_s / {timer}), more than {MAX_PACKETS:,}; "
                 f"shorten the run or lengthen {timer}", field=timer)
     # And the broadcasts' scans of all nodes, where a flood runs: aodv and
-    # crp discover routes, gpsr does not.
-    floods = 1 + sc.discovery_retries if sc.protocol in ("aodv", "crp") else 0
+    # crp discover routes, one per stream, gpsr does not.
+    floods = 0
+    if sc.protocol in ("aodv", "crp"):
+        discoveries = min(sc.n_streams, sc.n_nodes * (sc.n_nodes - 1))
+        floods = discoveries * (1 + sc.discovery_retries)
     scans = sc.n_nodes * (sc.n_nodes * floods + sends)
     if scans > MAX_RADIO_SCANS:
         raise ValidationError(
-            "the broadcasts of one route discovery and of the periodic "
-            f"packets would compare about {scans:.3g} node pairs (n_nodes per "
-            "broadcast, n_nodes * (1 + discovery_retries) broadcasts per "
-            f"discovery), more than {MAX_RADIO_SCANS:,}; lower n_nodes",
+            "the broadcasts of the streams' route discoveries and of the "
+            f"periodic packets would compare about {scans:.3g} node pairs "
+            "(n_nodes per broadcast, n_nodes * (1 + discovery_retries) "
+            "broadcasts per discovery, one discovery per stream), more than "
+            f"{MAX_RADIO_SCANS:,}; lower n_nodes or n_streams",
             field="n_nodes")
 
 

@@ -2,8 +2,6 @@
 
 import dataclasses
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +99,8 @@ def run_sweep(plan: SweepPlan, jobs: int | None = None
     rows: list[MetricsRow] = []
     failures: list[str] = []
     if jobs > 1 and len(cells) > 1:
+        # imported here: the pool's modules are a few MB a single run never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, cells))
     else:
@@ -136,6 +136,8 @@ def emit(rows: list[MetricsRow], fmt: str, out_dir: str | Path) -> Path:
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
+    import statistics  # only the table output needs it
+
     mean = sum(values) / len(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
     return mean, std

@@ -6,9 +6,14 @@ calling the code under test, so route/planarization checks compare two
 independent computations.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from manet_lab.scenario import Scenario
 from manet_lab.traffic import CbrStream
 
 RANGE = 250.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # -- graph oracles -------------------------------------------------------
@@ -126,6 +132,18 @@ def connected_random_positions(rng: random.Random, n: int, width=1000.0,
         positions = random_positions(rng, n, width, height)
         if is_connected(unit_disk_adj(positions, radio_range)):
             return positions
+
+
+def fresh_python(code: str):
+    """Run `code` in a new interpreter that imports manet_lab from src/ and
+    return the JSON it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def assert_float_columns_exact(row, line: str) -> None:

@@ -194,18 +194,27 @@ def test_validate_bounds_data_hops_and_one_leg_per_node(tmp_path, capsys, monkey
     # one aodv flood among 1e6 nodes compares 1e12 node pairs
     ("n_nodes = 1000000\nduration_s = 10\nn_streams = 1\n", 1),
     # 10,000 nodes * 10,000 * (1 + 9 floods) is exactly the bound of 1e9
-    ("discovery_retries = 9\nn_nodes = 10000\n", 0),
-    ("discovery_retries = 9\nn_nodes = 10001\n", 1),
+    ("discovery_retries = 9\nn_nodes = 10000\nn_streams = 1\n", 0),
+    ("discovery_retries = 9\nn_nodes = 10001\nn_streams = 1\n", 1),
+    # every stream starts a discovery: 100 streams * 1,000 nodes * 1,000 *
+    # (1 + 9 floods) is exactly the bound
+    ("discovery_retries = 9\nn_nodes = 1000\nn_streams = 100\n", 0),
+    ("discovery_retries = 9\nn_nodes = 1000\nn_streams = 101\n", 1),
+    # but no more discoveries than ordered node pairs: 40 nodes have 1,560,
+    # 2.5e7 pairs compared, where 1e6 discoveries would compare 1.6e10
+    ("discovery_retries = 9\nn_nodes = 40\nn_streams = 1000000\n"
+     "duration_s = 0.001\n", 0),
     # gpsr floods nothing: 1,000 nodes * 1,000 s of 1 s beacons, each
     # compared with 1,000 nodes, is exactly the bound
     ("protocol = gpsr\nn_nodes = 1000\nduration_s = 1000\n", 0),
     ("protocol = gpsr\nn_nodes = 1000\nduration_s = 1000.001\n", 1),
     # the floods count where a protocol discovers routes
     ("protocol = gpsr\nn_nodes = 20000\nduration_s = 0.001\n", 0),
-    ("protocol = crp\nn_nodes = 20000\nduration_s = 0.001\n", 1),
+    ("protocol = crp\nn_nodes = 20000\nduration_s = 0.001\nn_streams = 1\n", 1),
     # the largest cell the scenario files document
     ("protocol = crp\nn_nodes = 100\nrate_pps = 25\n", 0),
-], ids=["repro", "floods at bound", "floods past bound", "beacons at bound",
+], ids=["repro", "floods at bound", "floods past bound", "streams at bound",
+        "streams past bound", "streams past node pairs", "beacons at bound",
         "beacons past bound", "gpsr floods none", "crp floods",
         "largest sweep cell"])
 def test_validate_bounds_radio_scans(tmp_path, capsys, monkeypatch, text, code):

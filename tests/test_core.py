@@ -1,11 +1,14 @@
 """Event loop ordering and seeded stream determinism."""
 
+import hashlib
 import random
 
 import pytest
 
 from manet_lab.core import EventKind, Simulator, _derive_seed, rng_stream, us
 from manet_lab.errors import SchedulingInPast
+
+from conftest import fresh_python
 
 
 def make_sim(log):
@@ -110,6 +113,39 @@ def test_rng_draws_match_plain_random_with_derived_seed():
         assert stream.random() == plain.random()
         assert stream.uniform(-3.0, 7.0) == plain.uniform(-3.0, 7.0)
         assert stream.gauss(0.0, 1.0) == plain.gauss(0.0, 1.0)
+
+
+# Every label the engine draws from.
+ENGINE_LABELS = ("mobility", "jitter", "beacon", "hello", "pairs", "traffic")
+
+
+def hashlib_stream(seed: int, label: str) -> random.Random:
+    digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def test_rng_stream_seeds_from_sha256_of_seed_and_label():
+    for seed in range(200):
+        for label in ENGINE_LABELS:
+            stream, oracle = rng_stream(seed, label), hashlib_stream(seed, label)
+            assert [stream.random() for _ in range(3)] == \
+                [oracle.random() for _ in range(3)], (seed, label)
+
+
+def test_rng_stream_without_builtin_sha256_falls_back_to_hashlib():
+    # Blocking both built-in modules makes core.py take hashlib's sha256.
+    code = (
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "from manet_lab import core\n"
+        "assert core._sha256 is hashlib.sha256\n"
+        f"labels = {ENGINE_LABELS!r}\n"
+        "print(json.dumps([[core.rng_stream(s, l).random() for l in labels]"
+        " for s in range(200)]))\n"
+    )
+    expected = [[hashlib_stream(s, l).random() for l in ENGINE_LABELS]
+                for s in range(200)]
+    assert fresh_python(code) == expected
 
 
 def test_rng_uniform_mean():

@@ -36,7 +36,7 @@ class RouteEntry:
 class RouteTable:
     """Per-destination next-hop entries guarded by the freshness rule:
     an entry is replaced only by a strictly greater sequence number, or an
-    equal one with strictly fewer hops."""
+    equal one with strictly fewer hops. Every route dies by `invalidate`."""
 
     def __init__(self, lifetime_us: SimTime):
         self.lifetime_us = lifetime_us
@@ -52,8 +52,7 @@ class RouteTable:
         if now >= e.expires_at:
             # Lazy expiry. Bumping the sequence number here keeps stale
             # caches elsewhere from answering the rediscovery this triggers.
-            e.active = False
-            e.dst_seq += 1
+            self.invalidate(e)
             return None
         return e
 
@@ -75,14 +74,20 @@ class RouteTable:
     def refresh(self, entry: RouteEntry, now: SimTime) -> None:
         entry.expires_at = max(entry.expires_at, now + self.lifetime_us)
 
-    def invalidate_via(self, next_hop: int, now: SimTime) -> list[tuple[int, int]]:
-        """Deactivate every active entry using next_hop; returns the affected
-        (dst, bumped_seq) pairs for route-error reporting."""
+    @staticmethod
+    def invalidate(e: RouteEntry, seq: int = 0) -> None:
+        """Mark a route invalid and advance its sequence number to one past
+        its own, or to a route error's newer `seq` (RFC 3561 6.11)."""
+        e.active = False
+        e.dst_seq = max(e.dst_seq + 1, seq)
+
+    def invalidate_via(self, next_hop: int) -> list[tuple[int, int]]:
+        """Invalidate every active entry using next_hop; returns the affected
+        (dst, new_seq) pairs for route-error reporting."""
         affected = []
         for e in self.entries.values():
             if e.active and e.next_hop == next_hop:
-                e.active = False
-                e.dst_seq += 1
+                self.invalidate(e)
                 affected.append((e.dst, e.dst_seq))
         return affected
 
@@ -103,6 +108,8 @@ class ReactiveCore:
     packet along a ready route (the core calls it for each buffered packet
     once discovery succeeds), and `on_link_failure(next_hop, pkt)` handles a
     dead link (the core calls it when a route hop or a route reply fails).
+    The owner's `on_timer` hands a discovery timer's payload, the
+    `_Discovery` itself, to `on_discovery_timeout`.
     """
 
     def __init__(self, engine, node: int, owner):
@@ -138,7 +145,7 @@ class ReactiveCore:
             engine.drop(pkt, DropCause.TTL)
             return
         pkt.ttl -= 1
-        self.table.refresh(entry, engine.now)
+        self.table.refresh(entry, engine.sim.now)
         if self._send(entry.next_hop, pkt):
             engine.note_hop(pkt, self.node, tag)
 
@@ -166,7 +173,7 @@ class ReactiveCore:
             self.engine.drop(oldest, DropCause.BUFFER)
 
     def _flood(self, d: _Discovery) -> None:
-        now = self.engine.now
+        now = self.engine.sim.now
         self.seq += 1
         self.next_rreq_id += 1
         known = self.table.get(d.dst)
@@ -180,8 +187,7 @@ class ReactiveCore:
         self._mark_seen((self.node, self.next_rreq_id), now)
         self.engine.note_flood(self.node, d.dst)
         self.engine.radio.broadcast(self.node, pkt)
-        self.engine.schedule_timer(self.node, self._discovery_timeout,
-                                   ("discovery", d))
+        self.engine.schedule_timer(self.node, self._discovery_timeout, d)
 
     def on_discovery_timeout(self, d: _Discovery) -> None:
         dst = d.dst
@@ -189,7 +195,7 @@ class ReactiveCore:
         # are scheduled only from here, so a pending d has one live timer.
         if self.pending.get(dst) is not d:
             return
-        if self.table.lookup_active(dst, self.engine.now) is not None:
+        if self.table.lookup_active(dst, self.engine.sim.now) is not None:
             self._flush(d)  # route showed up from another reply
             return
         if d.retries_left > 0:
@@ -205,7 +211,7 @@ class ReactiveCore:
         del self.pending[dst]
         while d.buffer:
             pkt = d.buffer.popleft()
-            entry = self.table.lookup_active(dst, self.engine.now)
+            entry = self.table.lookup_active(dst, self.engine.sim.now)
             if entry is None:  # route died while flushing
                 self.buffer_and_discover(dst, pkt)
                 continue
@@ -214,18 +220,16 @@ class ReactiveCore:
     # -- flood handling ------------------------------------------------
 
     def on_rreq(self, pkt: Packet, sender: int) -> None:
-        """A received flood copy. Most receptions of a flood are repeats:
-        only a first sight reaches `handle_rreq`."""
+        """A received flood copy. Most are repeats: only a first sight
+        reaches `handle_rreq`, since an origin marks its own flood seen and
+        the seen window outlasts every copy."""
         if (pkt.origin, pkt.aodv.rreq_id) not in self.seen:
             self.handle_rreq(pkt, sender)
 
     def handle_rreq(self, pkt: Packet, sender: int) -> None:
         hdr = pkt.aodv
-        key = (pkt.origin, hdr.rreq_id)
-        if pkt.origin == self.node or key in self.seen:
-            return
-        now = self.engine.now
-        self._mark_seen(key, now)
+        now = self.engine.sim.now
+        self._mark_seen((pkt.origin, hdr.rreq_id), now)
         # reverse path toward the flood's origin
         self.table.accept(pkt.origin, sender, hdr.hop_count + 1, hdr.origin_seq, now)
         if self.node == pkt.final_dst:
@@ -265,7 +269,7 @@ class ReactiveCore:
         pkt = Packet(
             uid=self.engine.next_uid(), kind=RREP,
             origin=subject, final_dst=discovery_origin,
-            created_at=self.engine.now, ttl=self._rreq_ttl,
+            created_at=self.engine.sim.now, ttl=self._rreq_ttl,
             size_bytes=self._control_size,
             aodv=AodvHeader(rreq_id=0, origin_seq=0, dst_seq=dst_seq,
                             hop_count=hop_count),
@@ -276,7 +280,7 @@ class ReactiveCore:
         hdr = pkt.aodv
         subject = pkt.origin            # the node the route leads to
         discovery_origin = pkt.final_dst
-        now = self.engine.now
+        now = self.engine.sim.now
         self.table.accept(subject, sender, hdr.hop_count + 1, hdr.dst_seq, now)
         if self.node == discovery_origin:
             d = self.pending.get(subject)
@@ -319,13 +323,13 @@ class AodvNode:
     def start(self) -> None:
         if self._hello_enabled:
             first = round(self.engine.rng_hello.uniform(0, self._hello_interval))
-            self.engine.schedule_timer(self.node, first, ("hello",))
+            self.engine.schedule_timer(self.node, first, None)
 
-    def on_timer(self, payload) -> None:
-        if payload[0] == "discovery":
-            self.core.on_discovery_timeout(payload[1])
-        elif payload[0] == "hello":
+    def on_timer(self, discovery) -> None:
+        if discovery is None:
             self._hello_tick()
+        else:
+            self.core.on_discovery_timeout(discovery)
 
     # -- data plane --------------------------------------------------------
 
@@ -333,7 +337,7 @@ class AodvNode:
         if pkt.final_dst == self.node:
             self.engine.deliver(self.node, pkt)
             return
-        entry = self.core.table.lookup_active(pkt.final_dst, self.engine.now)
+        entry = self.core.table.lookup_active(pkt.final_dst, self.engine.sim.now)
         if entry is not None:
             self.send_on_route(pkt, entry)
         else:
@@ -353,13 +357,13 @@ class AodvNode:
         elif kind is RERR:
             self._handle_rerr(pkt, sender)
         elif kind is HELLO:
-            self._hello_heard[sender] = self.engine.now
+            self._hello_heard[sender] = self.engine.sim.now
 
     def _handle_data(self, pkt: Packet, sender: int) -> None:
         if pkt.final_dst == self.node:
             self.engine.deliver(self.node, pkt)
             return
-        entry = self.core.table.lookup_active(pkt.final_dst, self.engine.now)
+        entry = self.core.table.lookup_active(pkt.final_dst, self.engine.sim.now)
         if entry is None:
             # Transit packet with no live route: report the break upstream.
             e = self.core.table.get(pkt.final_dst)
@@ -371,9 +375,7 @@ class AodvNode:
     # -- failure handling ----------------------------------------------
 
     def on_link_failure(self, next_hop: int, pkt: Packet) -> None:
-        affected = self.core.table.invalidate_via(next_hop, self.engine.now)
-        if affected:
-            self._emit_rerr(affected)
+        self._lose_link(next_hop)
         if pkt.kind is DATA:
             if pkt.origin == self.node:
                 # The source re-enters discovery with the packet re-buffered.
@@ -383,10 +385,16 @@ class AodvNode:
         else:
             self.engine.metrics.note_diagnostic("control_link_failure")
 
+    def _lose_link(self, nbr: int) -> None:
+        """Invalidate the routes through nbr and report them in a RERR."""
+        affected = self.core.table.invalidate_via(nbr)
+        if affected:
+            self._emit_rerr(affected)
+
     def _emit_rerr(self, affected: list[tuple[int, int]], ttl: int | None = None) -> None:
         pkt = Packet(
             uid=self.engine.next_uid(), kind=RERR,
-            origin=self.node, final_dst=-1, created_at=self.engine.now,
+            origin=self.node, final_dst=-1, created_at=self.engine.sim.now,
             ttl=self.engine.scenario.rreq_ttl if ttl is None else ttl,
             size_bytes=self.engine.scenario.control_size_bytes,
             rerr_dsts=tuple(affected),
@@ -398,8 +406,7 @@ class AodvNode:
         for dst, seq in pkt.rerr_dsts:
             e = self.core.table.get(dst)
             if e is not None and e.active and e.next_hop == sender:
-                e.active = False
-                e.dst_seq = max(e.dst_seq + 1, seq)
+                self.core.table.invalidate(e, seq)
                 hit.append((dst, e.dst_seq))
         if hit and pkt.ttl - 1 >= 1:
             self._emit_rerr(hit, ttl=pkt.ttl - 1)
@@ -407,18 +414,16 @@ class AodvNode:
     # -- optional hello mode ---------------------------------------------
 
     def _hello_tick(self) -> None:
-        now = self.engine.now
+        now = self.engine.sim.now
         lost = [nbr for nbr, heard in self._hello_heard.items()
                 if now - heard > 2 * self._hello_interval]
         for nbr in lost:
             del self._hello_heard[nbr]
-            affected = self.core.table.invalidate_via(nbr, now)
-            if affected:
-                self._emit_rerr(affected)
+            self._lose_link(nbr)
         pkt = Packet(
             uid=self.engine.next_uid(), kind=HELLO,
             origin=self.node, final_dst=-1, created_at=now,
             ttl=1, size_bytes=self._hello_size,
         )
         self.engine.radio.broadcast(self.node, pkt)
-        self.engine.schedule_timer(self.node, self._hello_interval, ("hello",))
+        self.engine.schedule_timer(self.node, self._hello_interval, None)

@@ -16,7 +16,8 @@ from .errors import ParseError, ValidationError
 from .metrics import MetricsRow
 from .mobility import position_at
 from .scenario import Scenario, format_scenario, load_scenario, validate_scenario
-from .sweep import AXIS_FIELDS, SweepPlan, aggregate, emit, render_table, run_sweep
+from .sweep import (AXIS_FIELDS, SweepPlan, aggregate, render_table, run_sweep,
+                    write_csv, write_table)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,7 +85,8 @@ def _cmd_run(args) -> int:
     print(MetricsRow.csv_header())
     print(row.to_csv_row())
     if args.out is not None:
-        emit([row], "csv", args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
+        write_csv([row], args.out / "results.csv")
     return 0
 
 
@@ -105,8 +107,9 @@ def _cmd_sweep(args) -> int:
     print()
     print(render_table(aggregate(rows)))
     if args.out is not None:
-        emit(rows, "csv", args.out)
-        emit(rows, "table", args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
+        write_csv(rows, args.out / "results.csv")
+        write_table(rows, args.out / "results.txt")
     return 2 if failures else 0
 
 

@@ -30,11 +30,11 @@ class CrpNode(BeaconMixin):
         self.reanchor_on_route_loss = cfg.reanchor_on_route_loss
         self._init_beacons(engine)
 
-    def on_timer(self, payload) -> None:
-        if payload[0] == "discovery":
-            self.core.on_discovery_timeout(payload[1])
-        elif payload[0] == "beacon":
+    def on_timer(self, discovery) -> None:
+        if discovery is None:
             self.on_beacon_tick()
+        else:
+            self.core.on_discovery_timeout(discovery)
 
     # -- data plane ------------------------------------------------------
 
@@ -65,7 +65,7 @@ class CrpNode(BeaconMixin):
         if pkt.geo.mode is GREEDY:
             self._forward_greedy(pkt)
         else:
-            entry = self.core.table.lookup_active(pkt.final_dst, engine.now)
+            entry = self.core.table.lookup_active(pkt.final_dst, engine.sim.now)
             if entry is None:
                 # Route evaporated mid-path: this node becomes the new
                 # discovery anchor (or the packet dies if re-anchoring is off).
@@ -102,7 +102,7 @@ class CrpNode(BeaconMixin):
         one is fresh, otherwise buffer and flood a discovery from this node."""
         engine = self.engine
         if self.escape_cache_enabled:
-            entry = self.core.table.lookup_active(pkt.final_dst, engine.now)
+            entry = self.core.table.lookup_active(pkt.final_dst, engine.sim.now)
             if entry is not None:
                 self.send_on_route(pkt, entry)
                 return
@@ -113,7 +113,7 @@ class CrpNode(BeaconMixin):
 
     def _forget_link(self, next_hop: int) -> None:
         self.nbrs.evict(next_hop)
-        self.core.table.invalidate_via(next_hop, self.engine.now)
+        self.core.table.invalidate_via(next_hop)
 
     # -- ReactiveCore owner hooks ----------------------------------------
 

@@ -76,10 +76,6 @@ class Engine:
 
     # -- services used by protocol state machines ------------------------
 
-    @property
-    def now(self) -> SimTime:
-        return self.sim.now
-
     def position_at_time(self, node: int, t: SimTime) -> Position:
         # Each trace's leg cursor answers repeat queries at one instant.
         return position_at(self.traces[node], t)
@@ -103,6 +99,8 @@ class Engine:
             self.metrics.note_diagnostic(f"drop_{pkt.kind.value}")
 
     def schedule_timer(self, node: int, delay_us: SimTime, payload) -> None:
+        """Hand payload back to the node's `on_timer` after delay_us: the
+        `_Discovery` a timeout guards, or None for the periodic tick."""
         self.sim.schedule(self.sim.now + delay_us, TIMER_EXPIRY,
                           node, payload)
 

@@ -152,9 +152,9 @@ def perimeter_next_hop(self_pos: Position, planar: list[NeighborEntry],
 
 
 class BeaconMixin:
-    """Periodic position beaconing on a ("beacon",) timer, shared by the
-    geographic protocols: `start` schedules the first beacon, and the
-    owner's `on_timer` calls `on_beacon_tick`."""
+    """Periodic position beaconing, shared by the geographic protocols:
+    `start` schedules the first beacon on a timer whose payload is None,
+    and the owner's `on_timer` calls `on_beacon_tick` for it."""
 
     def _init_beacons(self, engine):
         cfg = engine.scenario
@@ -165,13 +165,13 @@ class BeaconMixin:
 
     def start(self):
         first = round(self.engine.rng_beacon.uniform(0, self._beacon_interval))
-        self.engine.schedule_timer(self.node, first, ("beacon",))
+        self.engine.schedule_timer(self.node, first, None)
 
     def on_beacon_tick(self):
         engine = self.engine
         pkt = Packet(
             uid=engine.next_uid(), kind=BEACON,
-            origin=self.node, final_dst=-1, created_at=engine.now,
+            origin=self.node, final_dst=-1, created_at=engine.sim.now,
             ttl=1, size_bytes=self._beacon_size,
             src_pos=engine.position(self.node),
         )
@@ -180,7 +180,7 @@ class BeaconMixin:
         if self._beacon_jitter > 0:
             gap += round(engine.rng_beacon.uniform(-self._beacon_jitter,
                                                    self._beacon_jitter))
-        engine.schedule_timer(self.node, max(1, gap), ("beacon",))
+        engine.schedule_timer(self.node, max(1, gap), None)
 
 
 class GpsrNode(BeaconMixin):
@@ -210,8 +210,7 @@ class GpsrNode(BeaconMixin):
         return self._planar
 
     def on_timer(self, payload) -> None:
-        if payload[0] == "beacon":
-            self.on_beacon_tick()
+        self.on_beacon_tick()
 
     def originate(self, pkt: Packet) -> None:
         pkt.geo = GeoHeader(dst_pos=self.engine.position(pkt.final_dst))

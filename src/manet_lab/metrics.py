@@ -76,7 +76,6 @@ class RunMetrics:
     def __init__(self):
         self.sent = 0
         self.delivered = 0
-        self.transmissions_total = 0
         self.transmissions_by_kind: Counter = Counter()
         self.drops: Counter = Counter()
         self.diagnostics: Counter = Counter()
@@ -89,8 +88,11 @@ class RunMetrics:
         self.sent += 1
         self._outstanding.add(uid)
 
+    @property
+    def transmissions_total(self) -> int:
+        return sum(self.transmissions_by_kind.values())
+
     def record_transmission(self, kind: PacketKind) -> None:
-        self.transmissions_total += 1
         # _value_ is the member's plain attribute: .value is a Python-level
         # property, and keying by the member would call Enum.__hash__
         self.transmissions_by_kind[kind._value_] += 1

@@ -1,4 +1,4 @@
-"""Replication sweeps over one scenario axis, with CSV and table emission."""
+"""Replication sweeps over one scenario axis, with CSV and table writers."""
 
 import dataclasses
 import os
@@ -119,20 +119,9 @@ def write_csv(rows: list[MetricsRow], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def emit(rows: list[MetricsRow], fmt: str, out_dir: str | Path) -> Path:
-    """Write results under out_dir: fmt 'csv' gives results.csv, 'table'
-    gives the aggregated mean/stddev text as results.txt."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = out_dir / "results.csv"
-        write_csv(rows, path)
-    elif fmt == "table":
-        path = out_dir / "results.txt"
-        path.write_text(render_table(aggregate(rows)))
-    else:
-        raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'table'")
-    return path
+def write_table(rows: list[MetricsRow], path: str | Path) -> None:
+    """The aggregated mean/stddev text of `render_table`."""
+    Path(path).write_text(render_table(aggregate(rows)))
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

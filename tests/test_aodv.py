@@ -75,16 +75,49 @@ def test_destination_replies_instead_of_rebroadcast():
 def test_duplicate_rreq_ignored_and_reverse_path_kept():
     engine = static_engine(CHAIN, "aodv", duration_s=1.0, streams=[])
     node = engine.protocols[2]
+    tx = engine.metrics.transmissions_by_kind
     rreq = Packet(uid=90, kind=PacketKind.RREQ, origin=0, final_dst=9,
                   created_at=0, ttl=32, size_bytes=64,
                   aodv=AodvHeader(rreq_id=1, origin_seq=5, dst_seq=0, hop_count=1))
-    node.core.handle_rreq(rreq, sender=1)
+    node.on_packet(rreq, sender=1)
     first = node.core.table.get(0)
     assert first.next_hop == 1 and first.hop_count == 2
+    assert tx["rreq"] == 1  # no route to 9 here: the first copy is relayed
     dup = clone(rreq)
-    node.core.handle_rreq(dup, sender=3)  # same flood via another neighbor
+    node.on_packet(dup, sender=3)  # same flood via another neighbor
+    assert tx["rreq"] == 1, "a repeat of a seen flood must not be relayed"
     again = node.core.table.get(0)
     assert again.next_hop == 1, "reverse path must stick with the first copy"
+
+
+def test_rerr_adopts_higher_seq_and_bumps_lower():
+    # RFC 3561 6.11: an invalidated route takes the RERR's sequence number
+    # when it is newer, and its own plus one otherwise.
+    engine = static_engine(CHAIN, "aodv", duration_s=1.0, streams=[])
+    node = engine.protocols[1]
+    table = node.core.table
+    table.accept(3, next_hop=2, hop_count=2, dst_seq=10, now=0)
+    table.accept(2, next_hop=2, hop_count=1, dst_seq=7, now=0)
+    table.accept(0, next_hop=0, hop_count=1, dst_seq=4, now=0)
+    sent = []
+    broadcast = engine.radio.broadcast
+
+    def recording_broadcast(sender, pkt):
+        sent.append(pkt)
+        return broadcast(sender, pkt)
+
+    engine.radio.broadcast = recording_broadcast
+    rerr = Packet(uid=92, kind=PacketKind.RERR, origin=2, final_dst=-1,
+                  created_at=0, ttl=32, size_bytes=64,
+                  rerr_dsts=((3, 15), (2, 4), (0, 9)))
+    node.on_packet(rerr, sender=2)
+    assert not table.get(3).active and table.get(3).dst_seq == 15
+    assert not table.get(2).active and table.get(2).dst_seq == 8
+    # a route through another neighbor is not the reporter's to break
+    assert table.get(0).active and table.get(0).dst_seq == 4
+    assert [p.kind for p in sent] == [PacketKind.RERR]
+    assert sent[0].rerr_dsts == ((3, 15), (2, 8))
+    assert sent[0].ttl == 31
 
 
 def test_stale_rrep_leaves_table_unchanged():
@@ -372,7 +405,7 @@ def test_no_rreq_arrives_for_a_forgotten_flood(case, monkeypatch):
         def checked(pkt, sender, on_packet=proto.on_packet, node=proto.node):
             if pkt.kind is PacketKind.RREQ and \
                     (pkt.origin, pkt.aodv.rreq_id) in expired.get(node, ()):
-                late.append((node, pkt.origin, pkt.aodv.rreq_id, engine.now))
+                late.append((node, pkt.origin, pkt.aodv.rreq_id, engine.sim.now))
             on_packet(pkt, sender)
         proto.on_packet = checked
     engine.run()

@@ -69,7 +69,7 @@ def run_under_budget(sc: Scenario):
         dispatched += 1
         if dispatched > EVENT_BUDGET:
             raise EventBudgetExceeded(f"over {EVENT_BUDGET} events by "
-                                      f"t={engine.now} us")
+                                      f"t={engine.sim.now} us")
         handler(ev)
 
     engine.sim.handler = budgeted

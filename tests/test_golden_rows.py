@@ -14,6 +14,11 @@ they miss.
 The mixed rows run `stage2_mobility.scn` at pause 10 and 20 s, where at any
 instant some nodes rest and others move: they pin the radio's verdicts while
 nodes start and end rests, under jitter, hello traffic, crp and gpsr.
+
+A row pins only the total transmission count, so the first and the mixed
+rows also pin its split by packet kind and the control-plane diagnostics: a
+change that moves a transmission from one kind to another, or drops a
+different control packet, can keep the row but not these.
 """
 
 import dataclasses
@@ -21,7 +26,7 @@ import os
 
 import pytest
 
-from manet_lab.engine import run_one
+from manet_lab.engine import Engine, run_one
 from manet_lab.scenario import load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -45,12 +50,37 @@ GOLDEN = [
 ]
 
 
+# (transmissions_by_kind, diagnostics) per GOLDEN case
+GOLDEN_SPLIT = {
+    ("aodv", 0.002, False): (
+        {"rreq": 3730, "rrep": 450, "data": 13288, "rerr": 274},
+        {"rrep_no_reverse_path": 9}),
+    ("aodv", 0.0, True): (
+        {"hello": 1800, "rreq": 3454, "rrep": 423, "data": 13091, "rerr": 328},
+        {"rrep_no_reverse_path": 9}),
+    ("aodv", 0.002, True): (
+        {"hello": 1800, "rreq": 3533, "rrep": 448, "data": 13525, "rerr": 343},
+        {"rrep_no_reverse_path": 7}),
+    ("crp", 0.002, False): (
+        {"beacon": 1799, "rreq": 1639, "rrep": 114, "data": 13339}, {}),
+    ("gpsr", 0.002, False): ({"beacon": 1799, "data": 15225}, {}),
+}
+
+
+def assert_run_matches(sc, row, split):
+    engine = Engine(sc)
+    assert engine.run().to_csv_row() == row
+    by_kind, diagnostics = split
+    assert dict(engine.metrics.transmissions_by_kind) == by_kind
+    assert dict(engine.metrics.diagnostics) == diagnostics
+
+
 @pytest.mark.parametrize("protocol, jitter, hello, row", GOLDEN)
 def test_row_matches_pinned(protocol, jitter, hello, row):
     base = load_scenario(os.path.join(SCENARIO_DIR, "stage1_load.scn"))
     sc = dataclasses.replace(base, protocol=protocol, seed=3, duration_s=60.0,
                              jitter_max_s=jitter, aodv_hello=hello)
-    assert run_one(sc).to_csv_row() == row
+    assert_run_matches(sc, row, GOLDEN_SPLIT[protocol, jitter, hello])
 
 
 GEO_GOLDEN = [
@@ -110,9 +140,34 @@ MIXED_GOLDEN = [
 ]
 
 
+# (transmissions_by_kind, diagnostics) per MIXED_GOLDEN case
+MIXED_SPLIT = {
+    (10.0, "aodv", 0.002, False): (
+        {"rreq": 9246, "rrep": 1029, "data": 12024, "rerr": 739},
+        {"control_link_failure": 1, "rrep_no_reverse_path": 14}),
+    (10.0, "aodv", 0.0, True): (
+        {"hello": 1800, "rreq": 9467, "rrep": 1290, "data": 11881, "rerr": 956},
+        {"rrep_no_reverse_path": 23}),
+    (10.0, "crp", 0.0, False): (
+        {"beacon": 1799, "data": 11306, "rreq": 5996, "rrep": 356},
+        {"rrep_no_reverse_path": 5}),
+    (10.0, "gpsr", 0.0, False): ({"beacon": 1799, "data": 17821}, {}),
+    (20.0, "aodv", 0.002, False): (
+        {"rreq": 6449, "rrep": 1705, "data": 13825, "rerr": 610},
+        {"rrep_no_reverse_path": 25}),
+    (20.0, "aodv", 0.0, True): (
+        {"hello": 1800, "rreq": 6595, "rrep": 2418, "data": 13503, "rerr": 755},
+        {"rrep_no_reverse_path": 27}),
+    (20.0, "crp", 0.0, False): (
+        {"beacon": 1799, "data": 13988, "rreq": 4026, "rrep": 445},
+        {"rrep_no_reverse_path": 8}),
+    (20.0, "gpsr", 0.0, False): ({"beacon": 1799, "data": 21447}, {}),
+}
+
+
 @pytest.mark.parametrize("pause, protocol, jitter, hello, row", MIXED_GOLDEN)
 def test_mixed_rest_motion_row_matches_pinned(pause, protocol, jitter, hello, row):
     base = load_scenario(os.path.join(SCENARIO_DIR, "stage2_mobility.scn"))
     sc = dataclasses.replace(base, protocol=protocol, seed=3, duration_s=60.0,
                              pause_s=pause, jitter_max_s=jitter, aodv_hello=hello)
-    assert run_one(sc).to_csv_row() == row
+    assert_run_matches(sc, row, MIXED_SPLIT[pause, protocol, jitter, hello])

@@ -161,19 +161,6 @@ def test_resolve_jobs_reads_and_checks_environment(monkeypatch):
         assert err.value.field == "MANET_LAB_JOBS"
 
 
-def test_emit_formats(tmp_path):
-    from manet_lab.sweep import emit
-    plan = SweepPlan(base=BASE, axis="rate", values=[4], replications=2)
-    rows, _ = run_sweep(plan)
-    csv_path = emit(rows, "csv", tmp_path)
-    assert csv_path.name == "results.csv"
-    assert csv_path.read_text() == csv_text(rows)
-    table_path = emit(rows, "table", tmp_path)
-    assert "delivery_ratio" in table_path.read_text()
-    with pytest.raises(ValueError):
-        emit(rows, "xml", tmp_path)
-
-
 def test_duration_zero_run_is_empty():
     import dataclasses
     row = run_one(dataclasses.replace(BASE, duration_s=0.0))

@@ -173,18 +173,15 @@ class ReactiveCore:
             self.engine.drop(oldest, DropCause.BUFFER)
 
     def _flood(self, d: _Discovery) -> None:
-        now = self.engine.sim.now
         self.seq += 1
         self.next_rreq_id += 1
         known = self.table.get(d.dst)
-        pkt = Packet(
-            uid=self.engine.next_uid(), kind=RREQ,
-            origin=self.node, final_dst=d.dst, created_at=now,
-            ttl=self._rreq_ttl, size_bytes=self._control_size,
+        pkt = self.engine.packet(
+            RREQ, self.node, d.dst, self._rreq_ttl, self._control_size,
             aodv=AodvHeader(rreq_id=self.next_rreq_id, origin_seq=self.seq,
                             dst_seq=known.dst_seq if known else 0, hop_count=0),
         )
-        self._mark_seen((self.node, self.next_rreq_id), now)
+        self._mark_seen((self.node, self.next_rreq_id), pkt.created_at)
         self.engine.note_flood(self.node, d.dst)
         self.engine.radio.broadcast(self.node, pkt)
         self.engine.schedule_timer(self.node, self._discovery_timeout, d)
@@ -266,11 +263,8 @@ class ReactiveCore:
 
     def _send_rrep(self, subject: int, discovery_origin: int, to: int,
                    hop_count: int, dst_seq: int) -> None:
-        pkt = Packet(
-            uid=self.engine.next_uid(), kind=RREP,
-            origin=subject, final_dst=discovery_origin,
-            created_at=self.engine.sim.now, ttl=self._rreq_ttl,
-            size_bytes=self._control_size,
+        pkt = self.engine.packet(
+            RREP, subject, discovery_origin, self._rreq_ttl, self._control_size,
             aodv=AodvHeader(rreq_id=0, origin_seq=0, dst_seq=dst_seq,
                             hop_count=hop_count),
         )
@@ -334,9 +328,6 @@ class AodvNode:
     # -- data plane --------------------------------------------------------
 
     def originate(self, pkt: Packet) -> None:
-        if pkt.final_dst == self.node:
-            self.engine.deliver(self.node, pkt)
-            return
         entry = self.core.table.lookup_active(pkt.final_dst, self.engine.sim.now)
         if entry is not None:
             self.send_on_route(pkt, entry)
@@ -360,9 +351,6 @@ class AodvNode:
             self._hello_heard[sender] = self.engine.sim.now
 
     def _handle_data(self, pkt: Packet, sender: int) -> None:
-        if pkt.final_dst == self.node:
-            self.engine.deliver(self.node, pkt)
-            return
         entry = self.core.table.lookup_active(pkt.final_dst, self.engine.sim.now)
         if entry is None:
             # Transit packet with no live route: report the break upstream.
@@ -392,12 +380,10 @@ class AodvNode:
             self._emit_rerr(affected)
 
     def _emit_rerr(self, affected: list[tuple[int, int]], ttl: int | None = None) -> None:
-        pkt = Packet(
-            uid=self.engine.next_uid(), kind=RERR,
-            origin=self.node, final_dst=-1, created_at=self.engine.sim.now,
-            ttl=self.engine.scenario.rreq_ttl if ttl is None else ttl,
-            size_bytes=self.engine.scenario.control_size_bytes,
-            rerr_dsts=tuple(affected),
+        cfg = self.engine.scenario
+        pkt = self.engine.packet(
+            RERR, self.node, -1, cfg.rreq_ttl if ttl is None else ttl,
+            cfg.control_size_bytes, rerr_dsts=tuple(affected),
         )
         self.engine.radio.broadcast(self.node, pkt)
 
@@ -420,10 +406,6 @@ class AodvNode:
         for nbr in lost:
             del self._hello_heard[nbr]
             self._lose_link(nbr)
-        pkt = Packet(
-            uid=self.engine.next_uid(), kind=HELLO,
-            origin=self.node, final_dst=-1, created_at=now,
-            ttl=1, size_bytes=self._hello_size,
-        )
+        pkt = self.engine.packet(HELLO, self.node, -1, 1, self._hello_size)
         self.engine.radio.broadcast(self.node, pkt)
         self.engine.schedule_timer(self.node, self._hello_interval, None)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .core import US_PER_S, to_seconds
-from .engine import Engine, run_one
+from .engine import Engine
 from .errors import ParseError, ValidationError
 from .metrics import MetricsRow
 from .mobility import position_at
@@ -70,9 +70,9 @@ def _load(path: Path, seed: int | None = None, protocol: str | None = None) -> S
 def _cmd_run(args) -> int:
     sc = _load(args.scenario, args.seed, args.protocol)
     print(format_scenario(sc, comment=True))
+    engine = Engine(sc)
+    row = engine.run()
     if args.dump_traces is not None:
-        engine = Engine(sc)
-        row = engine.run()
         # Positions are a pure function of the traces: sample them afterwards.
         lines = ["node,t,x,y"]
         for t in range(0, engine.duration + 1, US_PER_S):
@@ -80,8 +80,6 @@ def _cmd_run(args) -> int:
                 pos = position_at(trace, t)
                 lines.append(f"{n},{to_seconds(t):.1f},{pos.x:.3f},{pos.y:.3f}")
         args.dump_traces.write_text("\n".join(lines) + "\n")
-    else:
-        row = run_one(sc)
     print(MetricsRow.csv_header())
     print(row.to_csv_row())
     if args.out is not None:

@@ -56,9 +56,6 @@ class CrpNode(BeaconMixin):
 
     def forward(self, pkt: Packet) -> None:
         engine = self.engine
-        if pkt.final_dst == self.node:
-            engine.deliver(self.node, pkt)
-            return
         if pkt.ttl < 1:
             engine.drop(pkt, DropCause.TTL)
             return

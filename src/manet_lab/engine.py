@@ -3,6 +3,10 @@
 One Engine owns one run. All node state lives inside the single-threaded
 event loop; runs with identical scenario and seed produce identical results,
 so replications may execute in parallel processes but never share state.
+
+The engine makes every packet (`Engine.packet` stamps its uid and birth
+time) and delivers every data packet, at its emission for a self-addressed
+stream and at its arrival at `final_dst` otherwise. Protocols only route.
 """
 
 import itertools
@@ -15,7 +19,7 @@ from .geometry import Position
 from .gpsr import GpsrNode
 from .metrics import DropCause, MetricsRow, RunMetrics
 from .mobility import WaypointTrace, position_at, random_waypoint_trace
-from .packets import DATA, Packet
+from .packets import DATA, Packet, PacketKind
 from .radio import Radio
 from .scenario import Scenario
 from .traffic import CbrStream, make_streams
@@ -83,20 +87,22 @@ class Engine:
     def position(self, node: int) -> Position:
         return self.position_at_time(node, self.sim.now)
 
-    def next_uid(self) -> int:
-        return next(self._uids)
+    def packet(self, kind: PacketKind, origin: int, final_dst: int, ttl: int,
+               size_bytes: int, **fields) -> Packet:
+        """A new packet with the run's next uid, born now."""
+        return Packet(next(self._uids), kind, origin, final_dst, self.sim.now,
+                      ttl, size_bytes, **fields)
 
-    def deliver(self, node: int, pkt: Packet) -> None:
+    def _deliver(self, node: int, pkt: Packet) -> None:
         self.metrics.record_delivery(pkt.uid, pkt.created_at, self.sim.now)
         self.note_hop(pkt, node, "delivered")
 
     def drop(self, pkt: Packet, cause: DropCause) -> None:
-        if pkt.kind is DATA:
-            self.metrics.record_drop(pkt.uid, cause)
-            if self.hop_log is not None:
-                self.note_hop(pkt, -1, f"dropped:{cause.value}")
-        else:
-            self.metrics.note_diagnostic(f"drop_{pkt.kind.value}")
+        """End a data packet; a control packet's uid is never in flight,
+        so dropping one raises AccountingError."""
+        self.metrics.record_drop(pkt.uid, cause)
+        if self.hop_log is not None:
+            self.note_hop(pkt, -1, f"dropped:{cause.value}")
 
     def schedule_timer(self, node: int, delay_us: SimTime, payload) -> None:
         """Hand payload back to the node's `on_timer` after delay_us: the
@@ -108,7 +114,7 @@ class Engine:
         self.flood_log.append((origin, dst, self.sim.now))
 
     def note_hop(self, pkt: Packet, node: int, tag: str) -> None:
-        if self.hop_log is not None and pkt.kind is DATA:
+        if self.hop_log is not None:
             self.hop_log.setdefault(pkt.uid, []).append((node, self.sim.now, tag))
 
     # -- event dispatch ----------------------------------------------------
@@ -117,9 +123,13 @@ class Engine:
         kind = ev.kind
         if kind is PACKET_ARRIVAL:
             pkt, sender, receivers = ev.payload
+            dst = pkt.final_dst if pkt.kind is DATA else -1
             protocols = self.protocols
             for receiver in receivers:
-                protocols[receiver].on_packet(pkt, sender)
+                if receiver == dst:
+                    self._deliver(receiver, pkt)
+                else:
+                    protocols[receiver].on_packet(pkt, sender)
         elif kind is TIMER_EXPIRY:
             self.protocols[ev.target].on_timer(ev.payload)
         elif kind is TRAFFIC_EMIT:
@@ -127,18 +137,17 @@ class Engine:
 
     def _emit(self, stream_idx: int) -> None:
         s = self.streams[stream_idx]
-        now = self.sim.now
-        pkt = Packet(
-            uid=self.next_uid(), kind=DATA, origin=s.src,
-            final_dst=s.dst, created_at=now, ttl=self.scenario.data_ttl,
-            size_bytes=s.packet_size,
-        )
+        pkt = self.packet(DATA, s.src, s.dst, self.scenario.data_ttl,
+                          s.packet_size)
         self.metrics.record_origination(pkt.uid)
         self.note_hop(pkt, s.src, "originated")
-        self.protocols[s.src].originate(pkt)
-        nxt = now + s.interval
+        if s.dst == s.src:
+            self._deliver(s.src, pkt)
+        else:
+            self.protocols[s.src].originate(pkt)
+        nxt = self.sim.now + s.interval
         if nxt <= s.stop_at:
-            self.sim.schedule(nxt, TRAFFIC_EMIT, s.src, stream_idx)
+            self.sim.schedule(nxt, TRAFFIC_EMIT, None, stream_idx)
 
     # -- run ----------------------------------------------------------------
 
@@ -148,8 +157,7 @@ class Engine:
                 proto.start()
             for idx, s in enumerate(self.streams):
                 if s.start_at <= self.duration:
-                    self.sim.schedule(s.start_at, TRAFFIC_EMIT,
-                                      s.src, idx)
+                    self.sim.schedule(s.start_at, TRAFFIC_EMIT, None, idx)
         self.sim.run_until(self.duration)
         sc = self.scenario
         return self.metrics.finalize(

@@ -169,12 +169,8 @@ class BeaconMixin:
 
     def on_beacon_tick(self):
         engine = self.engine
-        pkt = Packet(
-            uid=engine.next_uid(), kind=BEACON,
-            origin=self.node, final_dst=-1, created_at=engine.sim.now,
-            ttl=1, size_bytes=self._beacon_size,
-            src_pos=engine.position(self.node),
-        )
+        pkt = engine.packet(BEACON, self.node, -1, 1, self._beacon_size,
+                            src_pos=engine.position(self.node))
         engine.radio.broadcast(self.node, pkt)
         gap = self._beacon_interval
         if self._beacon_jitter > 0:
@@ -225,9 +221,6 @@ class GpsrNode(BeaconMixin):
     def forward(self, pkt: Packet, arrived_from: int | None) -> None:
         engine = self.engine
         node = self.node
-        if pkt.final_dst == node:
-            engine.deliver(node, pkt)
-            return
         g = pkt.geo
         now = engine.sim.now
         # (x, y) floats, as in a Position: the hop decisions unpack them

@@ -88,18 +88,15 @@ _NUMBERS = [name for name, f in _FIELDS.items() if f.type in (int, float)]
 _SECONDS = [name for name in _NUMBERS if name.endswith("_s")]
 _FLOAT_MAX = sys.float_info.max
 
-_POSITIVE = [
+# The numbers that must be positive; every other number must not be negative.
+_POSITIVE = {
     "n_nodes", "area_width", "area_height", "radio_range",
     "bandwidth_bps", "speed_mps", "n_streams", "rate_pps",
     "packet_size_bytes", "data_ttl", "rreq_ttl", "route_lifetime_s",
     "buffer_cap", "control_size_bytes", "hello_size_bytes",
     "beacon_size_bytes", "hello_interval_s", "beacon_interval_s",
     "neighbor_timeout_s",
-]
-_NON_NEGATIVE = [
-    "seed", "duration_s", "processing_delay_s", "jitter_max_s", "pause_s",
-    "traffic_start_window_s", "discovery_retries", "beacon_jitter_s",
-]
+}
 
 
 def _convert(field_name: str, raw: str, line: int | None = None):
@@ -162,11 +159,12 @@ def validate_scenario(sc: Scenario) -> None:
     for fname in _NUMBERS:
         if not -_FLOAT_MAX <= getattr(sc, fname) <= _FLOAT_MAX:
             raise ValidationError("must be a finite number", field=fname)
-    for fname in _POSITIVE:
-        if getattr(sc, fname) <= 0:
-            raise ValidationError("must be positive", field=fname)
-    for fname in _NON_NEGATIVE:
-        if getattr(sc, fname) < 0:
+    for fname in _NUMBERS:
+        value = getattr(sc, fname)
+        if fname in _POSITIVE:
+            if value <= 0:
+                raise ValidationError("must be positive", field=fname)
+        elif value < 0:
             raise ValidationError("must not be negative", field=fname)
     if sc.n_nodes < 2:
         raise ValidationError("need at least two nodes", field="n_nodes")

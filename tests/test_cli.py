@@ -54,7 +54,6 @@ def test_validate_zero_us_period_exits_1(tmp_path, capsys, monkeypatch, text, fi
         raise AssertionError("validate must not start an engine")
 
     monkeypatch.setattr(cli_mod, "Engine", no_engine)
-    monkeypatch.setattr(cli_mod, "run_one", no_engine)
     path = write_scn(tmp_path, text)
     assert main(["validate", str(path)]) == 1
     assert field in capsys.readouterr().err
@@ -99,7 +98,6 @@ def test_validate_non_finite_exits_1(tmp_path, capsys, monkeypatch, text, field)
         raise AssertionError("validate must not start an engine")
 
     monkeypatch.setattr(cli_mod, "Engine", no_engine)
-    monkeypatch.setattr(cli_mod, "run_one", no_engine)
     path = write_scn(tmp_path, text)
     assert main(["validate", str(path)]) == 1
     assert field in capsys.readouterr().err
@@ -228,7 +226,6 @@ def validate_without_engine(tmp_path, capsys, monkeypatch, text, code, field):
         raise AssertionError("validate must not start an engine")
 
     monkeypatch.setattr(cli_mod, "Engine", no_engine)
-    monkeypatch.setattr(cli_mod, "run_one", no_engine)
     path = write_scn(tmp_path, text)
     assert main(["validate", str(path)]) == code
     if code:

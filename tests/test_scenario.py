@@ -90,6 +90,19 @@ def test_validation_names_offending_field():
         validate_scenario(Scenario(rate_pps=0))
 
 
+NUMERIC_KEYS = [f.name for f in dataclasses.fields(Scenario)
+                if f.type in (int, float)]
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_every_numeric_key_rejects_a_negative_value(key):
+    # A numeric key gets a sign check by default: one set to -1 is rejected
+    # by name, whether it must be positive or only non-negative.
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(f"{key} = -1\n")
+    assert err.value.field == key
+
+
 def test_comments_and_blank_lines_ignored():
     sc = parse_scenario("\n# comment only\n\nseed = 9   # trailing\n")
     assert sc.seed == 9

@@ -1,14 +1,18 @@
 """CBR stream construction and the accounting conventions."""
 
+import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from manet_lab.core import rng_stream, us
+from manet_lab.engine import Engine
 from manet_lab.errors import AccountingError, DuplicateDelivery
 from manet_lab.geometry import Position
 from manet_lab.metrics import CSV_COLUMNS, DropCause, RunMetrics
 from manet_lab.packets import PacketKind
+from manet_lab.scenario import load_scenario
 from manet_lab.traffic import make_streams
 
 from conftest import assert_float_columns_exact, cbr, static_engine
@@ -158,3 +162,57 @@ def test_csv_row_round_trip():
     line = row.to_csv_row()
     assert line == "aodv,table1,42,30,40.0,4.0,4,2,0.5,28.95,0,0,0,1,0,0"
     assert_float_columns_exact(row, line)
+
+
+def test_engine_drop_of_a_control_packet_raises():
+    # Only data packets are ever in flight, so only they can be dropped.
+    positions = {0: Position(0, 0), 1: Position(100, 0)}
+    engine = static_engine(positions, "aodv", duration_s=1.0,
+                           streams=[cbr(0, 1, 0.5, 1.0, 0.5)])
+    rreq = engine.packet(PacketKind.RREQ, 0, 1, 4, 48)
+    with pytest.raises(AccountingError):
+        engine.drop(rreq, DropCause.TTL)
+    assert not engine.metrics.diagnostics
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "gpsr", "crp"])
+def test_self_addressed_stream_is_delivered_at_emission(protocol):
+    positions = {0: Position(0, 0), 1: Position(100, 0)}
+    engine = static_engine(positions, protocol, duration_s=2.0,
+                           streams=[cbr(1, 1, 0.5, 0.5, 1.5)])
+    row = engine.run()
+    assert row.sent == row.delivered == 3
+    assert row.mean_delay_ms == 0.0
+    assert engine.metrics.transmissions_by_kind["data"] == 0
+    for hops in engine.hop_log.values():
+        t = hops[0][1]
+        assert hops == [(1, t, "originated"), (1, t, "delivered")]
+
+
+@pytest.mark.parametrize("protocol, hello", [("crp", False), ("aodv", True)])
+def test_engine_stamps_every_packet(protocol, hello):
+    # Every packet of a run comes from Engine.packet, which hands out the
+    # uids in order and stamps each packet with the instant it is made.
+    scn = Path(__file__).resolve().parent.parent / "scenarios" / "stage1_load.scn"
+    sc = dataclasses.replace(load_scenario(scn), protocol=protocol, seed=3,
+                             duration_s=60.0, aodv_hello=hello)
+    engine = Engine(sc)
+    made = []
+    make = engine.packet
+
+    def packet(*args, **fields):
+        pkt = make(*args, **fields)
+        made.append((pkt.uid, pkt.created_at, engine.sim.now, pkt.kind))
+        return pkt
+
+    engine.packet = packet
+    row = engine.run()
+    assert [uid for uid, _, _, _ in made] == list(range(len(made)))
+    assert all(born == now for _, born, now, _ in made)
+    kinds = Counter(kind for _, _, _, kind in made)
+    assert kinds[PacketKind.DATA] == row.sent
+    expected = ({PacketKind.DATA, PacketKind.RREQ, PacketKind.RREP,
+                 PacketKind.BEACON} if protocol == "crp" else
+                {PacketKind.DATA, PacketKind.RREQ, PacketKind.RREP,
+                 PacketKind.RERR, PacketKind.HELLO})
+    assert set(kinds) == expected

@@ -151,8 +151,11 @@ class ReactiveCore:
 
     def _send(self, next_hop: int, pkt: Packet) -> bool:
         """Unicast pkt one hop; a dead link goes to the owner's
-        `on_link_failure`. True if the hop was sent."""
+        `on_link_failure`, and a lost control packet is also noted as a
+        diagnostic. True if the hop was sent."""
         if self.engine.radio.unicast(self.node, next_hop, pkt) is LINK_FAILURE:
+            if pkt.kind is not DATA:
+                self.engine.metrics.note_diagnostic("control_link_failure")
             self.owner.on_link_failure(next_hop, pkt)
             return False
         return True
@@ -364,14 +367,13 @@ class AodvNode:
 
     def on_link_failure(self, next_hop: int, pkt: Packet) -> None:
         self._lose_link(next_hop)
-        if pkt.kind is DATA:
-            if pkt.origin == self.node:
-                # The source re-enters discovery with the packet re-buffered.
-                self.core.buffer_and_discover(pkt.final_dst, pkt)
-            else:
-                self.engine.drop(pkt, DropCause.LINK_FAILURE)
+        if pkt.kind is not DATA:
+            return
+        if pkt.origin == self.node:
+            # The source re-enters discovery with the packet re-buffered.
+            self.core.buffer_and_discover(pkt.final_dst, pkt)
         else:
-            self.engine.metrics.note_diagnostic("control_link_failure")
+            self.engine.drop(pkt, DropCause.LINK_FAILURE)
 
     def _lose_link(self, nbr: int) -> None:
         """Invalidate the routes through nbr and report them in a RERR."""

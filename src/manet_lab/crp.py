@@ -86,8 +86,7 @@ class CrpNode(BeaconMixin):
                 self.on_local_maximum(pkt)
                 return
             pkt.ttl -= 1
-            outcome = engine.radio.unicast(self.node, nh, pkt)
-            if outcome is DELIVERED:
+            if engine.radio.unicast(self.node, nh, pkt) is DELIVERED:
                 engine.note_hop(pkt, self.node, "geo_greedy")
                 return
             pkt.ttl += 1  # the hop did not happen
@@ -123,5 +122,3 @@ class CrpNode(BeaconMixin):
         self._forget_link(next_hop)
         if pkt.kind is DATA:
             self.engine.drop(pkt, DropCause.LINK_FAILURE)
-        else:
-            self.engine.metrics.note_diagnostic("control_link_failure")

@@ -151,6 +151,12 @@ def perimeter_next_hop(self_pos: Position, planar: list[NeighborEntry],
     return best
 
 
+def _resume_greedy(g: GeoHeader) -> None:
+    """Leave perimeter mode, forgetting where the walk began."""
+    g.mode = GREEDY
+    g.loc_entry = g.first_edge = None
+
+
 class BeaconMixin:
     """Periodic position beaconing, shared by the geographic protocols:
     `start` schedules the first beacon on a timer whose payload is None,
@@ -230,32 +236,23 @@ class GpsrNode(BeaconMixin):
             dx, dy = g.dst_pos
             lx, ly = g.loc_entry
             if hypot(sx - dx, sy - dy) < hypot(lx - dx, ly - dy):
-                # strictly closer than where the walk began: back to greedy
-                g.mode = GREEDY
-                g.loc_entry = None
-                g.first_edge = None
+                # strictly closer than where the walk began
+                _resume_greedy(g)
         if pkt.ttl < 1:
             engine.drop(pkt, DropCause.TTL)
             return
         pkt.ttl -= 1
         for attempt in (0, 1):  # one retry after a link failure
             neighbors = self.nbrs.fresh(now)
-            entered_here = False
             if g.mode is GREEDY:
                 nh = greedy_next_hop(self_pos, neighbors, g.dst_pos)
-                if nh is None:
-                    if not self.perimeter_enabled:
-                        engine.drop(pkt, DropCause.PERIMETER)
-                        return
+                if nh is None and self.perimeter_enabled:
                     planar = self.planar_view(self_pos, neighbors)
                     nh = perimeter_next_hop(self_pos, planar, g.dst_pos, None)
-                    if nh is None:
-                        engine.drop(pkt, DropCause.PERIMETER)
-                        return
-                    g.mode = PERIMETER
-                    g.loc_entry = self_pos
-                    g.first_edge = (node, nh)
-                    entered_here = True
+                    if nh is not None:
+                        g.mode = PERIMETER
+                        g.loc_entry = self_pos
+                        g.first_edge = (node, nh)
             else:
                 planar = self.planar_view(self_pos, neighbors)
                 ref = g.dst_pos
@@ -264,22 +261,18 @@ class GpsrNode(BeaconMixin):
                     if e is not None:
                         ref = e.pos
                 nh = perimeter_next_hop(self_pos, planar, ref, arrived_from)
-                if nh is None:
-                    engine.drop(pkt, DropCause.PERIMETER)
-                    return
                 if (node, nh) == g.first_edge:
-                    # about to retrace the first perimeter edge: the face
-                    # walk is exhausted and the destination unreachable
-                    engine.drop(pkt, DropCause.PERIMETER)
-                    return
-            outcome = engine.radio.unicast(node, nh, pkt)
-            if outcome is DELIVERED:
+                    # retracing the first perimeter edge: the face walk is
+                    # exhausted and the destination unreachable
+                    nh = None
+            if nh is None:
+                engine.drop(pkt, DropCause.PERIMETER)
+                return
+            if engine.radio.unicast(node, nh, pkt) is DELIVERED:
                 if engine.hop_log is not None:
                     engine.note_hop(pkt, node, g.mode.value)
                 return
             self.nbrs.evict(nh)
-            if entered_here:  # failed on the entry edge: re-decide from greedy
-                g.mode = GREEDY
-                g.loc_entry = None
-                g.first_edge = None
+            if g.first_edge == (node, nh):  # the entry edge failed: re-decide
+                _resume_greedy(g)
         engine.drop(pkt, DropCause.LINK_FAILURE)

@@ -2,12 +2,15 @@
 
 import re
 
+import pytest
+
 from manet_lab.core import us
 from manet_lab.engine import Engine
 from manet_lab.geometry import Position
+from manet_lab.packets import PacketKind
 from manet_lab.scenario import Scenario
 
-from conftest import (VOID_D, VOID_POSITIONS, VOID_S, VOID_X, cbr,
+from conftest import (VOID_D, VOID_POSITIONS, VOID_S, VOID_U4, VOID_X, cbr,
                       one_shot_stream, static_engine, trace_from_waypoints)
 
 
@@ -133,11 +136,26 @@ def test_greedy_mode_break_follows_retry_rule_not_drop():
     engine = Engine(sc, traces=traces,
                     streams=[cbr(0, 4, start_s=5.0, interval_s=0.5, stop_s=12.0)],
                     record_hops=True)
+    ttl_at_delivery = {}
+    deliver = engine._deliver
+
+    def recording_deliver(node, pkt):
+        ttl_at_delivery[pkt.uid] = pkt.ttl
+        deliver(node, pkt)
+
+    engine._deliver = recording_deliver
     row = engine.run()
     assert row.delivered == row.sent
     assert row.drops["link_failure"] == 0
     assert engine.metrics.transmissions_by_kind["rerr"] == 0
     assert engine.metrics.transmissions_by_kind["rreq"] == 0
+    # a failed send costs no TTL: each packet arrives with data_ttl less
+    # the hops it took
+    hops = {uid: sum(tag == "geo_greedy" for (_, _, tag) in log)
+            for uid, log in engine.hop_log.items()}
+    assert ttl_at_delivery == {uid: sc.data_ttl - n for uid, n in hops.items()}
+    assert engine.metrics.transmissions_by_kind["data"] > sum(hops.values()), \
+        "some greedy send failed and was retried"
 
 
 def test_partitioned_destination_times_out_with_bounded_floods():
@@ -184,3 +202,41 @@ def test_reanchor_toggle_controls_route_loss_behavior(void_positions):
     off.protocols[VOID_X].forward(routeless_packet(off, 0))
     assert off.flood_log == []
     assert off.metrics.drops["link_failure"] == 1
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "crp"])
+def test_failed_route_reply_notes_one_control_link_failure(protocol):
+    # The flood toward D reaches it only through u4, which leaves between
+    # relaying the request and D's reply: the reply's unicast fails once,
+    # and the retried floods find no path, so no other reply is sent.
+    positions = dict(VOID_POSITIONS)
+    duration = 12.0
+    stream = one_shot_stream(VOID_S, VOID_D, at_s=5.0)
+    probe = static_engine(positions, protocol, duration_s=duration,
+                          streams=[stream], record_hops=False)
+    replies = []
+    unicast = probe.radio.unicast
+
+    def recording_unicast(sender, next_hop, pkt):
+        if pkt.kind is PacketKind.RREP and sender == VOID_D:
+            replies.append((probe.sim.now, next_hop))
+        return unicast(sender, next_hop, pkt)
+
+    probe.radio.unicast = recording_unicast
+    probe.run()
+    (reply_at, relay), = replies
+    assert relay == VOID_U4
+    traces = [trace_from_waypoints(duration, [(0.0, positions[n])])
+              for n in sorted(positions)]
+    left, gone = (reply_at - 2) / 1e6, (reply_at - 1) / 1e6
+    traces[VOID_U4] = trace_from_waypoints(
+        duration, [(0.0, positions[VOID_U4]), (left, positions[VOID_U4]),
+                   (gone, Position(100.0, 900.0))])
+    sc = Scenario(n_nodes=len(positions), protocol=protocol,
+                  duration_s=duration, seed=1, pause_s=duration, n_streams=1)
+    engine = Engine(sc, traces=traces, streams=[stream])
+    row = engine.run()
+    assert dict(engine.metrics.diagnostics) == {"control_link_failure": 1}
+    assert engine.metrics.transmissions_by_kind["rrep"] == 1
+    assert row.delivered == 0
+    assert row.drops["discovery_timeout"] == 1

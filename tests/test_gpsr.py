@@ -240,6 +240,37 @@ def test_greedy_link_failure_evicts_and_retries_once():
     assert (0, 1, 2) in routes and (0, 1, 3) in routes
 
 
+def test_failed_perimeter_entry_redecides_from_greedy():
+    # A is a local maximum for the unreachable D. The face walk would enter
+    # on edge A-P, the first counterclockwise from the ray toward D, but P
+    # has walked out of range since its last beacon, so that send fails.
+    # The retry decides again from greedy and enters on A-Q, so the walk
+    # A -> Q -> A ends at the retrace of its first edge. Had the failed
+    # entry edge stayed first, no edge would end the walk before the TTL.
+    a, p, q, d = 0, 1, 2, 3
+    duration = 10.0
+    traces = [trace_from_waypoints(duration, [(0.0, Position(0, 0))]),
+              trace_from_waypoints(duration, [(0.0, Position(-100, 200)),
+                                              (6.2, Position(-100, 200)),
+                                              (6.3, Position(-100, 2000))]),
+              trace_from_waypoints(duration, [(0.0, Position(-100, -200))]),
+              trace_from_waypoints(duration, [(0.0, Position(2000, 0))])]
+    sc = Scenario(n_nodes=4, protocol="gpsr", duration_s=duration, seed=5,
+                  pause_s=duration, n_streams=1)
+    engine = Engine(sc, traces=traces,
+                    streams=[one_shot_stream(a, d, at_s=6.5)], record_hops=True)
+    row = engine.run()
+    assert row.delivered == 0
+    assert row.drops["perimeter_exhausted"] == 1 and row.drops["ttl"] == 0
+    (hops,) = engine.hop_log.values()
+    assert [(n, tag) for (n, _, tag) in hops] == [
+        (a, "originated"), (a, "perimeter"), (q, "perimeter"),
+        (-1, "dropped:perimeter_exhausted")]
+    # the failed send to P, then A -> Q and Q -> A; P is forgotten
+    assert engine.metrics.transmissions_by_kind["data"] == 3
+    assert p not in engine.protocols[a].nbrs.entries
+
+
 # -- the per-node caches and the inlined sweep against uncached references --
 
 class UncachedTable:

@@ -104,12 +104,12 @@ class _Discovery:
 class ReactiveCore:
     """Flood/reply machinery bound to one node.
 
-    The owner supplies two hooks: `send_on_route(pkt, entry)` sends a
+    The owner supplies three hooks: `send_on_route(pkt, entry)` sends a
     packet along a ready route (the core calls it for each buffered packet
-    once discovery succeeds), and `on_link_failure(next_hop, pkt)` handles a
-    dead link (the core calls it when a route hop or a route reply fails).
-    The owner's `on_timer` hands a discovery timer's payload, the
-    `_Discovery` itself, to `on_discovery_timeout`.
+    once discovery succeeds), `on_link_failure(next_hop, pkt)` handles a
+    dead link (the core calls it when a route hop or a route reply fails),
+    and `on_timer(d)` only passes a discovery's timeout on to
+    `on_discovery_timeout`: perfbench's tracer times it by that name.
     """
 
     def __init__(self, engine, node: int, owner):
@@ -187,7 +187,7 @@ class ReactiveCore:
         self._mark_seen((self.node, self.next_rreq_id), pkt.created_at)
         self.engine.note_flood(self.node, d.dst)
         self.engine.radio.broadcast(self.node, pkt)
-        self.engine.schedule_timer(self.node, self._discovery_timeout, d)
+        self.engine.schedule_timer(self._discovery_timeout, self.owner.on_timer, d)
 
     def on_discovery_timeout(self, d: _Discovery) -> None:
         dst = d.dst
@@ -320,13 +320,10 @@ class AodvNode:
     def start(self) -> None:
         if self._hello_enabled:
             first = round(self.engine.rng_hello.uniform(0, self._hello_interval))
-            self.engine.schedule_timer(self.node, first, None)
+            self.engine.schedule_timer(first, AodvNode._hello_tick, self)
 
     def on_timer(self, discovery) -> None:
-        if discovery is None:
-            self._hello_tick()
-        else:
-            self.core.on_discovery_timeout(discovery)
+        self.core.on_discovery_timeout(discovery)
 
     # -- data plane --------------------------------------------------------
 
@@ -410,4 +407,4 @@ class AodvNode:
             self._lose_link(nbr)
         pkt = self.engine.packet(HELLO, self.node, -1, 1, self._hello_size)
         self.engine.radio.broadcast(self.node, pkt)
-        self.engine.schedule_timer(self.node, self._hello_interval, None)
+        self.engine.schedule_timer(self._hello_interval, AodvNode._hello_tick, self)

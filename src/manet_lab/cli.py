@@ -1,8 +1,8 @@
 """Command-line entry points: run one scenario, sweep an axis, or validate.
 
 Exit codes: 0 success, 1 scenario validation/parse error (or a --jobs below 1,
-or a MANET_LAB_JOBS that is not an integer >= 1), 2 runtime failure, including
-a sweep with any failed cell.
+a MANET_LAB_JOBS that is not an integer >= 1, or a sweep value or protocol
+listed twice), 2 runtime failure, including a sweep with any failed cell.
 """
 
 import argparse

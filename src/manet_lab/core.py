@@ -48,7 +48,6 @@ class Event(NamedTuple):
     fire_at: SimTime
     seq: int
     kind: EventKind
-    target: int | None
     payload: Any = None
 
 
@@ -62,11 +61,10 @@ class Simulator:
         self._heap: list[Event] = []
         self._seq = 0
 
-    def schedule(self, fire_at: SimTime, kind: EventKind, target: int | None = None,
-                 payload: Any = None) -> None:
+    def schedule(self, fire_at: SimTime, kind: EventKind, payload: Any = None) -> None:
         if fire_at < self.now:
             raise SchedulingInPast(f"fire_at={fire_at} < now={self.now}")
-        heapq.heappush(self._heap, Event(fire_at, self._seq, kind, target, payload))
+        heapq.heappush(self._heap, Event(fire_at, self._seq, kind, payload))
         self._seq += 1
 
     def run_until(self, t_end: SimTime) -> int:

@@ -31,10 +31,7 @@ class CrpNode(BeaconMixin):
         self._init_beacons(engine)
 
     def on_timer(self, discovery) -> None:
-        if discovery is None:
-            self.on_beacon_tick()
-        else:
-            self.core.on_discovery_timeout(discovery)
+        self.core.on_discovery_timeout(discovery)
 
     # -- data plane ------------------------------------------------------
 

@@ -7,6 +7,11 @@ so replications may execute in parallel processes but never share state.
 The engine makes every packet (`Engine.packet` stamps its uid and birth
 time) and delivers every data packet, at its emission for a self-addressed
 stream and at its arrival at `final_dst` otherwise. Protocols only route.
+
+Every other event carries the call it makes, `(fn, arg)`, and dispatch
+calls `fn(arg)`: a stream's next packet is `(self._emit, index)`, a tick
+`(BeaconMixin.on_beacon_tick, node)` or `(AodvNode._hello_tick, node)`, and
+a discovery timeout `(owner.on_timer, discovery)`.
 """
 
 import itertools
@@ -104,11 +109,9 @@ class Engine:
         if self.hop_log is not None:
             self.note_hop(pkt, -1, f"dropped:{cause.value}")
 
-    def schedule_timer(self, node: int, delay_us: SimTime, payload) -> None:
-        """Hand payload back to the node's `on_timer` after delay_us: the
-        `_Discovery` a timeout guards, or None for the periodic tick."""
-        self.sim.schedule(self.sim.now + delay_us, TIMER_EXPIRY,
-                          node, payload)
+    def schedule_timer(self, delay_us: SimTime, fn, arg) -> None:
+        """Call fn(arg) after delay_us."""
+        self.sim.schedule(self.sim.now + delay_us, TIMER_EXPIRY, (fn, arg))
 
     def note_flood(self, origin: int, dst: int) -> None:
         self.flood_log.append((origin, dst, self.sim.now))
@@ -120,8 +123,7 @@ class Engine:
     # -- event dispatch ----------------------------------------------------
 
     def _dispatch(self, ev) -> None:
-        kind = ev.kind
-        if kind is PACKET_ARRIVAL:
+        if ev.kind is PACKET_ARRIVAL:
             pkt, sender, receivers = ev.payload
             dst = pkt.final_dst if pkt.kind is DATA else -1
             protocols = self.protocols
@@ -130,10 +132,9 @@ class Engine:
                     self._deliver(receiver, pkt)
                 else:
                     protocols[receiver].on_packet(pkt, sender)
-        elif kind is TIMER_EXPIRY:
-            self.protocols[ev.target].on_timer(ev.payload)
-        elif kind is TRAFFIC_EMIT:
-            self._emit(ev.payload)
+        else:  # a timer or a stream's emission
+            fn, arg = ev.payload
+            fn(arg)
 
     def _emit(self, stream_idx: int) -> None:
         s = self.streams[stream_idx]
@@ -147,7 +148,7 @@ class Engine:
             self.protocols[s.src].originate(pkt)
         nxt = self.sim.now + s.interval
         if nxt <= s.stop_at:
-            self.sim.schedule(nxt, TRAFFIC_EMIT, None, stream_idx)
+            self.sim.schedule(nxt, TRAFFIC_EMIT, (self._emit, stream_idx))
 
     # -- run ----------------------------------------------------------------
 
@@ -157,7 +158,7 @@ class Engine:
                 proto.start()
             for idx, s in enumerate(self.streams):
                 if s.start_at <= self.duration:
-                    self.sim.schedule(s.start_at, TRAFFIC_EMIT, None, idx)
+                    self.sim.schedule(s.start_at, TRAFFIC_EMIT, (self._emit, idx))
         self.sim.run_until(self.duration)
         sc = self.scenario
         return self.metrics.finalize(

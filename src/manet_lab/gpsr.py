@@ -159,8 +159,8 @@ def _resume_greedy(g: GeoHeader) -> None:
 
 class BeaconMixin:
     """Periodic position beaconing, shared by the geographic protocols:
-    `start` schedules the first beacon on a timer whose payload is None,
-    and the owner's `on_timer` calls `on_beacon_tick` for it."""
+    `start` schedules the first `on_beacon_tick` of this node, and each
+    tick schedules the next."""
 
     def _init_beacons(self, engine):
         cfg = engine.scenario
@@ -171,7 +171,7 @@ class BeaconMixin:
 
     def start(self):
         first = round(self.engine.rng_beacon.uniform(0, self._beacon_interval))
-        self.engine.schedule_timer(self.node, first, None)
+        self.engine.schedule_timer(first, BeaconMixin.on_beacon_tick, self)
 
     def on_beacon_tick(self):
         engine = self.engine
@@ -182,7 +182,7 @@ class BeaconMixin:
         if self._beacon_jitter > 0:
             gap += round(engine.rng_beacon.uniform(-self._beacon_jitter,
                                                    self._beacon_jitter))
-        engine.schedule_timer(self.node, max(1, gap), None)
+        engine.schedule_timer(max(1, gap), BeaconMixin.on_beacon_tick, self)
 
 
 class GpsrNode(BeaconMixin):
@@ -210,9 +210,6 @@ class GpsrNode(BeaconMixin):
             self._planar_key = key
             self._planar = planarize_gg(self_pos, neighbors)
         return self._planar
-
-    def on_timer(self, payload) -> None:
-        self.on_beacon_tick()
 
     def originate(self, pkt: Packet) -> None:
         pkt.geo = GeoHeader(dst_pos=self.engine.position(pkt.final_dst))

@@ -171,12 +171,12 @@ class Radio:
         schedule = self._sim.schedule
         if self._jitter_us > 0:
             for receiver in receivers:
-                schedule(rt + self._jitter_draw(), PACKET_ARRIVAL, None,
+                schedule(rt + self._jitter_draw(), PACKET_ARRIVAL,
                          (pkt, sender, (receiver,)))
         elif receivers:
             # One event in place of one per receiver at consecutive seq
             # values: the dispatch order is the same.
-            schedule(rt, PACKET_ARRIVAL, None, (pkt, sender, tuple(receivers)))
+            schedule(rt, PACKET_ARRIVAL, (pkt, sender, tuple(receivers)))
         return receivers
 
     def unicast(self, sender: int, next_hop: int, pkt: Packet) -> TxOutcome:
@@ -192,5 +192,5 @@ class Radio:
         rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
         if self._jitter_us > 0:
             rt += self._jitter_draw()
-        self._sim.schedule(rt, PACKET_ARRIVAL, None, (pkt, sender, (next_hop,)))
+        self._sim.schedule(rt, PACKET_ARRIVAL, (pkt, sender, (next_hop,)))
         return DELIVERED

@@ -36,6 +36,14 @@ class SweepPlan:
                                   field="replications")
         if not self.values:
             raise ValidationError("need at least one value", field="values")
+        # Values convert as scenario text does; a repeated cell would run
+        # twice and count twice in the table's n.
+        self.values = [_convert(AXIS_FIELDS[self.axis], str(v)) for v in self.values]
+        for field, entries in (("values", self.values),
+                               ("protocols", self.protocols or [])):
+            repeats = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeats:
+                raise ValidationError(f"{repeats[0]!r} is listed twice", field=field)
 
 
 def plan_cells(plan: SweepPlan) -> list[Scenario]:
@@ -47,8 +55,7 @@ def plan_cells(plan: SweepPlan) -> list[Scenario]:
     if plan.axis == "protocol":
         protocols = [None]
     cells = []
-    for raw in plan.values:
-        value = _convert(field, str(raw))
+    for value in plan.values:
         for proto in protocols:
             for rep in range(plan.replications):
                 overrides = {

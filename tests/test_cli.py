@@ -363,3 +363,23 @@ def test_sweep_bad_axis_value_exits_1(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "scenario error" in err and field in err
 
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--axis", "pause", "--values", "40,40.0"], "values"),
+    (["--axis", "rate", "--values", "4,4.0", "--reps", "2"], "values"),
+    (["--axis", "pause", "--values", "0", "--protocols", "aodv,aodv"],
+     "protocols"),
+])
+def test_sweep_repeated_cell_exits_1(tmp_path, capsys, monkeypatch, args, field):
+    import manet_lab.sweep as sweep_mod
+
+    def no_run(sc):
+        raise AssertionError("a repeated cell must not start a run")
+
+    monkeypatch.setattr(sweep_mod, "run_one", no_run)
+    path = write_scn(tmp_path, TINY)
+    assert main(["sweep", str(path)] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario error" in captured.err and f"{field}:" in captured.err

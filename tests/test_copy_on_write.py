@@ -58,8 +58,8 @@ def run_guarded(sc) -> int:
 
     schedule = sim.schedule
 
-    def tagging_schedule(fire_at, kind, target=None, payload=None):
-        schedule(fire_at, kind, target, payload)
+    def tagging_schedule(fire_at, kind, payload=None):
+        schedule(fire_at, kind, payload)
         if kind is EventKind.PACKET_ARRIVAL:
             at_send[id(payload)] = sending[-1]
 

@@ -18,8 +18,9 @@ log. The twins drop every shortcut:
 
 Protocols read `engine.radio` and their own attributes at each call, so the
 swap needs nothing from `src/`. The draws are the fuzz test's runnable
-scenarios and the stage-2 pause ladder; every protocol runs with jitter and
-aodv with hellos on and off.
+scenarios, the stage-2 pause ladder and hand-built traces whose phase
+changes fall on the microsecond of a send; every protocol runs with jitter
+and aodv with hellos on and off.
 """
 
 import dataclasses
@@ -32,13 +33,14 @@ import pytest
 from manet_lab.core import PACKET_ARRIVAL, us
 from manet_lab.engine import Engine
 from manet_lab.errors import ValidationError
-from manet_lab.geometry import dist
+from manet_lab.geometry import Position, dist
 from manet_lab.gpsr import GpsrNode, planarize_gg
-from manet_lab.mobility import position_at
-from manet_lab.packets import clone
+from manet_lab.mobility import Leg, WaypointTrace, position_at
+from manet_lab.packets import BEACON, HELLO, RREQ, clone
 from manet_lab.radio import DELIVERED, LINK_FAILURE
-from manet_lab.scenario import load_scenario, validate_scenario
+from manet_lab.scenario import Scenario, load_scenario, validate_scenario
 
+from conftest import VOID_D, VOID_POSITIONS, VOID_S, VOID_U3, cbr
 from test_fuzz import N_SCENARIOS, draw_scenario
 from test_gpsr import UncachedTable
 
@@ -83,7 +85,7 @@ class PlainRadio:
         self.metrics.record_transmission(pkt.kind)
         receivers = self.neighbors(sender, t)
         for receiver in receivers:
-            self.sim.schedule(self.arrival_at(t, pkt), PACKET_ARRIVAL, None,
+            self.sim.schedule(self.arrival_at(t, pkt), PACKET_ARRIVAL,
                               (clone(pkt), sender, (receiver,)))
         return receivers
 
@@ -93,7 +95,7 @@ class PlainRadio:
         if dist(position_at(self.traces[sender], t),
                 position_at(self.traces[next_hop], t)) > self.range:
             return LINK_FAILURE
-        self.sim.schedule(self.arrival_at(t, pkt), PACKET_ARRIVAL, None,
+        self.sim.schedule(self.arrival_at(t, pkt), PACKET_ARRIVAL,
                           (pkt, sender, (next_hop,)))
         return DELIVERED
 
@@ -118,9 +120,10 @@ def outcome(engine: Engine):
             engine.flood_log, engine.hop_log)
 
 
-def assert_twins_agree(sc):
-    built = outcome(Engine(sc, record_hops=True))
-    plain = outcome(plain_twin(Engine(sc, record_hops=True)))
+def assert_twins_agree(sc, traces=None, streams=None):
+    built = outcome(Engine(sc, traces=traces, streams=streams, record_hops=True))
+    plain = outcome(plain_twin(Engine(sc, traces=traces, streams=streams,
+                                      record_hops=True)))
     for name, a, b in zip(("row", "transmissions_by_kind", "diagnostics",
                            "flood_log", "hop_log"), built, plain):
         assert a == b, f"{name} differs for {sc}"
@@ -188,3 +191,90 @@ def test_slow_floods_match_plain_twins(protocol):
                              pause_s=10.0, jitter_max_s=0.05, rreq_ttl=3)
     validate_scenario(sc)
     assert_twins_agree(sc)
+
+
+# -- phase changes on the instant of a send ---------------------------------
+#
+# A whole run rarely puts a rest's end, or a jump of a trace, on the very
+# microsecond a node beacons or relays a flood, where the radio must read
+# the new phase and not the one it kept. These runs build such traces by
+# hand on the void topology: every node rests, then one at a time a planned
+# node changes phase at the next instant when a send of the wanted kind
+# starts. The world before that instant is unchanged, so a probe run of the
+# traces planned so far finds the instant, and a last probe checks that
+# every planned instant still holds its send.
+
+PHASE_HORIZON_S = 10.0
+
+
+def phase_trace(duration, here, change):
+    """Rest at `here`; with change (t, mode), a jump at t or a rest that
+    ends at t with a 4 s leg, either way a fifth of the way to the middle
+    of the area, which keeps the void topology connected."""
+    legs = [Leg(0, here, here, 0)]
+    if change is not None:
+        t, mode = change
+        there = Position(here.x + (500.0 - here.x) / 5, here.y + (500.0 - here.y) / 5)
+        legs.append(Leg(t, here, there, t if mode == "jump" else t + us(4.0)))
+    return WaypointTrace(duration, legs)
+
+
+def phase_traces(sc, plan):
+    return [phase_trace(us(sc.duration_s), VOID_POSITIONS[node], plan.get(node))
+            for node in range(sc.n_nodes)]
+
+
+def sends(sc, traces, streams):
+    """(instant, kind, sender) of every beacon, hello and flood relay (a
+    broadcast whose sender is not the packet's origin) the run sends."""
+    engine = Engine(sc, traces=traces, streams=streams)
+    broadcast = engine.radio.broadcast
+    log = []
+
+    def logged(sender, pkt):
+        if pkt.kind in (BEACON, HELLO) or pkt.origin != sender:
+            log.append((engine.sim.now, pkt.kind, sender))
+        return broadcast(sender, pkt)
+
+    engine.radio.broadcast = logged
+    engine.run()
+    return log
+
+
+def plan_phase_changes(sc, streams, wanted):
+    """{node: (instant, mode)}: for each (kind, mode) in wanted, a node not
+    yet planned changes phase at the first later instant it sends kind."""
+    plan = {}
+    last = 0
+    for kind, mode in wanted:
+        log = sends(sc, phase_traces(sc, plan), streams)
+        last, _, node = next((t, k, n) for t, k, n in log
+                             if t > last and k is kind and n not in plan)
+        plan[node] = (last, mode)
+    return plan
+
+
+PHASE_CASES = {
+    "aodv": [(HELLO, "jump"), (RREQ, "rest_end"), (RREQ, "jump"),
+             (HELLO, "rest_end")],
+    "gpsr": [(BEACON, "jump"), (BEACON, "rest_end"), (BEACON, "jump")],
+    "crp": [(BEACON, "rest_end"), (RREQ, "jump"), (RREQ, "rest_end"),
+            (BEACON, "jump")],
+}
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.002])
+@pytest.mark.parametrize("protocol", sorted(PHASE_CASES))
+def test_phase_change_on_a_send_matches_plain_twins(protocol, jitter):
+    streams = [cbr(VOID_S, VOID_D, 1.0, 0.25, 9.0), cbr(9, VOID_U3, 1.5, 0.5, 9.0)]
+    sc = Scenario(n_nodes=len(VOID_POSITIONS), protocol=protocol,
+                  duration_s=PHASE_HORIZON_S, seed=3, pause_s=PHASE_HORIZON_S,
+                  n_streams=len(streams), jitter_max_s=jitter,
+                  aodv_hello=protocol == "aodv")
+    validate_scenario(sc)
+    plan = plan_phase_changes(sc, streams, PHASE_CASES[protocol])
+    traces = phase_traces(sc, plan)
+    log = sends(sc, traces, streams)
+    for (kind, _), (node, (t, _)) in zip(PHASE_CASES[protocol], plan.items()):
+        assert (t, kind, node) in log
+    assert_twins_agree(sc, traces, streams)

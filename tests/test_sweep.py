@@ -67,6 +67,21 @@ def test_unknown_axis_rejected():
         SweepPlan(base=BASE, axis="weather", values=[1], replications=1)
 
 
+@pytest.mark.parametrize("axis, values, protocols, field", [
+    ("pause", [40, 40.0], None, "values"),
+    ("pause", ["40", "40.0"], None, "values"),
+    ("rate", ["4", " 4.0"], None, "values"),
+    ("protocol", ["aodv", "crp", "aodv"], None, "values"),
+    ("pause", [0, 40], ["aodv", "gpsr", "aodv"], "protocols"),
+])
+def test_repeated_cell_rejected(axis, values, protocols, field):
+    # A repeat would run the same cell twice and count it twice in n.
+    with pytest.raises(ValidationError) as err:
+        SweepPlan(base=BASE, axis=axis, values=values, replications=2,
+                  protocols=protocols)
+    assert err.value.field == field
+
+
 def test_protocol_fairness_same_traces_and_traffic():
     # Within one cell and replication every protocol sees identical mobility
     # and traffic; the RNG labels never mention the protocol.

@@ -102,11 +102,13 @@ class _Discovery:
 
 
 class ReactiveCore:
-    """Flood/reply machinery bound to one node.
+    """Flood/reply machinery bound to one node, and the one reactive send
+    rule, `send_or_discover`: send on a live route, otherwise buffer the
+    packet and discover one (RFC 3561 6.3). aodv sources, crp anchors and
+    every flush of a discovery's buffer use it.
 
     The owner supplies three hooks: `send_on_route(pkt, entry)` sends a
-    packet along a ready route (the core calls it for each buffered packet
-    once discovery succeeds), `on_link_failure(next_hop, pkt)` handles a
+    packet along a live route, `on_link_failure(next_hop, pkt)` handles a
     dead link (the core calls it when a route hop or a route reply fails),
     and `on_timer(d)` only passes a discovery's timeout on to
     `on_discovery_timeout`: perfbench's tracer times it by that name.
@@ -162,18 +164,23 @@ class ReactiveCore:
 
     # -- discovery -----------------------------------------------------
 
-    def buffer_and_discover(self, dst: int, pkt: Packet) -> None:
+    def send_or_discover(self, pkt: Packet) -> None:
+        """Send pkt on a live route, or buffer it and discover one."""
+        entry = self.table.lookup_active(pkt.final_dst, self.engine.sim.now)
+        if entry is None:
+            self.buffer_and_discover(pkt)
+        else:
+            self.owner.send_on_route(pkt, entry)
+
+    def buffer_and_discover(self, pkt: Packet) -> None:
+        dst = pkt.final_dst
         d = self.pending.get(dst)
         if d is None:
-            d = _Discovery(dst, self._retries)
-            self.pending[dst] = d
-            d.buffer.append(pkt)
-            self._flood(d)
-            return
+            d = self.pending[dst] = _Discovery(dst, self._retries)
+            self._flood(d)  # only schedules events: safe before the append
         d.buffer.append(pkt)
         if len(d.buffer) > self._buffer_cap:
-            oldest = d.buffer.popleft()
-            self.engine.drop(oldest, DropCause.BUFFER)
+            self.engine.drop(d.buffer.popleft(), DropCause.BUFFER)
 
     def _flood(self, d: _Discovery) -> None:
         self.seq += 1
@@ -193,10 +200,7 @@ class ReactiveCore:
         dst = d.dst
         # A flushed discovery's timer still fires, and does nothing. Retries
         # are scheduled only from here, so a pending d has one live timer.
-        if self.pending.get(dst) is not d:
-            return
-        if self.table.lookup_active(dst, self.engine.sim.now) is not None:
-            self._flush(d)  # route showed up from another reply
+        if self.pending.get(dst) is not d or self._flush(d):
             return
         if d.retries_left > 0:
             d.retries_left -= 1
@@ -206,16 +210,16 @@ class ReactiveCore:
         for pkt in d.buffer:
             self.engine.drop(pkt, DropCause.DISCOVERY_TIMEOUT)
 
-    def _flush(self, d: _Discovery) -> None:
-        dst = d.dst
-        del self.pending[dst]
+    def _flush(self, d: _Discovery) -> bool:
+        """If d's route is live (say, from another reply), end d and send its
+        buffer by the one rule, so a route that dies mid-flush is rediscovered.
+        True if it was live."""
+        if self.table.lookup_active(d.dst, self.engine.sim.now) is None:
+            return False
+        del self.pending[d.dst]
         while d.buffer:
-            pkt = d.buffer.popleft()
-            entry = self.table.lookup_active(dst, self.engine.sim.now)
-            if entry is None:  # route died while flushing
-                self.buffer_and_discover(dst, pkt)
-                continue
-            self.owner.send_on_route(pkt, entry)
+            self.send_or_discover(d.buffer.popleft())
+        return True
 
     # -- flood handling ------------------------------------------------
 
@@ -281,7 +285,7 @@ class ReactiveCore:
         self.table.accept(subject, sender, hdr.hop_count + 1, hdr.dst_seq, now)
         if self.node == discovery_origin:
             d = self.pending.get(subject)
-            if d is not None and self.table.lookup_active(subject, now) is not None:
+            if d is not None:
                 self._flush(d)
             return
         back = self.table.lookup_active(discovery_origin, now)
@@ -328,11 +332,7 @@ class AodvNode:
     # -- data plane --------------------------------------------------------
 
     def originate(self, pkt: Packet) -> None:
-        entry = self.core.table.lookup_active(pkt.final_dst, self.engine.sim.now)
-        if entry is not None:
-            self.send_on_route(pkt, entry)
-        else:
-            self.core.buffer_and_discover(pkt.final_dst, pkt)
+        self.core.send_or_discover(pkt)
 
     def send_on_route(self, pkt: Packet, entry: RouteEntry) -> None:
         self.core.forward(pkt, entry, "aodv")
@@ -368,7 +368,7 @@ class AodvNode:
             return
         if pkt.origin == self.node:
             # The source re-enters discovery with the packet re-buffered.
-            self.core.buffer_and_discover(pkt.final_dst, pkt)
+            self.core.buffer_and_discover(pkt)
         else:
             self.engine.drop(pkt, DropCause.LINK_FAILURE)
 

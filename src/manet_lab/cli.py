@@ -1,8 +1,8 @@
 """Command-line entry points: run one scenario, sweep an axis, or validate.
 
 Exit codes: 0 success, 1 scenario validation/parse error (or a --jobs below 1,
-a MANET_LAB_JOBS that is not an integer >= 1, or a sweep value or protocol
-listed twice), 2 runtime failure, including a sweep with any failed cell.
+a MANET_LAB_JOBS that is not an integer >= 1, or a sweep listing a value or
+protocol twice or none at all), 2 runtime failure, including a failed cell.
 """
 
 import argparse
@@ -92,7 +92,7 @@ def _cmd_sweep(args) -> int:
     sc = _load(args.scenario)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     protocols = None
-    if args.protocols:
+    if args.protocols is not None:  # an empty list is an error, not the default
         protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     plan = SweepPlan(base=sc, axis=args.axis, values=values,
                      replications=args.reps, protocols=protocols)

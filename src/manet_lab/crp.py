@@ -93,13 +93,10 @@ class CrpNode(BeaconMixin):
     def on_local_maximum(self, pkt: Packet) -> None:
         """Greedy has no closer neighbor here: ride a cached escape route if
         one is fresh, otherwise buffer and flood a discovery from this node."""
-        engine = self.engine
         if self.escape_cache_enabled:
-            entry = self.core.table.lookup_active(pkt.final_dst, engine.sim.now)
-            if entry is not None:
-                self.send_on_route(pkt, entry)
-                return
-        self.core.buffer_and_discover(pkt.final_dst, pkt)
+            self.core.send_or_discover(pkt)
+        else:
+            self.core.buffer_and_discover(pkt)
 
     def _switch_to_route(self, pkt: Packet) -> None:
         pkt.geo.mode = ROUTE

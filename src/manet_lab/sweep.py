@@ -36,6 +36,8 @@ class SweepPlan:
                                   field="replications")
         if not self.values:
             raise ValidationError("need at least one value", field="values")
+        if self.protocols is not None and not self.protocols:
+            raise ValidationError("need at least one protocol", field="protocols")
         # Values convert as scenario text does; a repeated cell would run
         # twice and count twice in the table's n.
         self.values = [_convert(AXIS_FIELDS[self.axis], str(v)) for v in self.values]

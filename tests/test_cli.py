@@ -383,3 +383,23 @@ def test_sweep_repeated_cell_exits_1(tmp_path, capsys, monkeypatch, args, field)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "scenario error" in captured.err and f"{field}:" in captured.err
+
+
+@pytest.mark.parametrize("protocols", [",", "", " , "])
+def test_sweep_empty_protocol_list_exits_1(tmp_path, capsys, monkeypatch,
+                                           protocols):
+    # An empty --protocols is an error like an empty --values; it must not
+    # fall back to the scenario's own protocol.
+    import manet_lab.sweep as sweep_mod
+
+    def no_run(sc):
+        raise AssertionError("an empty protocol list must not start a run")
+
+    monkeypatch.setattr(sweep_mod, "run_one", no_run)
+    path = write_scn(tmp_path, TINY)
+    args = ["sweep", str(path), "--axis", "pause", "--values", "0",
+            "--protocols", protocols]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario error" in captured.err and "protocols:" in captured.err

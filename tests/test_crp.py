@@ -8,10 +8,12 @@ from manet_lab.core import us
 from manet_lab.engine import Engine
 from manet_lab.geometry import Position
 from manet_lab.packets import PacketKind
+from manet_lab.radio import LINK_FAILURE
 from manet_lab.scenario import Scenario
 
-from conftest import (VOID_D, VOID_POSITIONS, VOID_S, VOID_U4, VOID_X, cbr,
-                      one_shot_stream, static_engine, trace_from_waypoints)
+from conftest import (VOID_D, VOID_POSITIONS, VOID_S, VOID_S1, VOID_U1,
+                      VOID_U4, VOID_X, cbr, one_shot_stream, static_engine,
+                      trace_from_waypoints)
 
 
 def test_dense_path_stays_greedy_with_zero_floods():
@@ -240,3 +242,86 @@ def test_failed_route_reply_notes_one_control_link_failure(protocol):
     assert engine.metrics.transmissions_by_kind["rrep"] == 1
     assert row.delivered == 0
     assert row.drops["discovery_timeout"] == 1
+
+
+@pytest.mark.parametrize("protocol, anchor, relay", [
+    ("aodv", VOID_S, VOID_S1),
+    ("crp", VOID_X, VOID_U1),
+], ids=["aodv", "crp"])
+def test_route_lost_during_flush_is_rediscovered_once(protocol, anchor, relay):
+    # The route reply reaches the discovery's anchor through relay, which
+    # leaves between sending the reply and its arrival. The flush's first
+    # data unicast fails and kills the route, so every later buffered packet
+    # must find no route and join one new discovery from the same anchor,
+    # not ride the dead entry. The anchor is then cut off, so the new
+    # discovery times out.
+    positions = dict(VOID_POSITIONS)
+    duration = 12.0
+    stream = cbr(VOID_S, VOID_D, start_s=5.0, interval_s=0.002, stop_s=5.006)
+    probe = static_engine(positions, protocol, duration_s=duration,
+                          streams=[stream], record_hops=False)
+    replies = []
+    unicast = probe.radio.unicast
+
+    def recording_unicast(sender, next_hop, pkt):
+        if pkt.kind is PacketKind.RREP and next_hop == anchor:
+            replies.append((sender, probe.sim.now))
+        return unicast(sender, next_hop, pkt)
+
+    probe.radio.unicast = recording_unicast
+    probe_core = probe.protocols[anchor].core
+    handle_rrep = probe_core.handle_rrep
+    arrivals = []
+
+    def recording_handle_rrep(pkt, sender):
+        arrivals.append((probe.sim.now, len(probe_core.pending[VOID_D].buffer)))
+        handle_rrep(pkt, sender)
+
+    probe_core.handle_rrep = recording_handle_rrep
+    assert probe.run().delivered == 4
+    (sender, sent_at), = replies
+    (arrived_at, buffered), = arrivals
+    assert sender == relay and buffered >= 3 and sent_at + 1 < arrived_at
+
+    traces = [trace_from_waypoints(duration, [(0.0, positions[n])])
+              for n in sorted(positions)]
+    traces[relay] = trace_from_waypoints(
+        duration, [(0.0, positions[relay]), (sent_at / 1e6, positions[relay]),
+                   ((sent_at + 1) / 1e6, Position(100.0, 900.0))])
+    sc = Scenario(n_nodes=len(positions), protocol=protocol,
+                  duration_s=duration, seed=1, pause_s=duration, n_streams=1)
+    engine = Engine(sc, traces=traces, streams=[stream])
+    failed = []
+    unicast = engine.radio.unicast
+
+    def recording_unicast(sender, next_hop, pkt):
+        outcome = unicast(sender, next_hop, pkt)
+        if pkt.kind is PacketKind.DATA and outcome is LINK_FAILURE:
+            failed.append(pkt.uid)
+        return outcome
+
+    engine.radio.unicast = recording_unicast
+    core = engine.protocols[anchor].core
+    flush = core._flush
+    flushes = []
+
+    def recording_flush(d):
+        floods = len(engine.flood_log)
+        queued = [pkt.uid for pkt in d.buffer]
+        if flush(d):
+            again = core.pending.get(VOID_D)
+            flushes.append((queued, engine.flood_log[floods:],
+                            again and [pkt.uid for pkt in again.buffer]))
+            return True
+        return False
+
+    core._flush = recording_flush
+    row = engine.run()
+    (queued, floods, rebuffered), = flushes
+    assert len(queued) == buffered
+    assert failed == queued[:1], "only the first flushed packet is sent"
+    assert [(o, d) for (o, d, _t) in floods] == [(anchor, VOID_D)]
+    # An aodv source re-buffers the failed packet too; crp drops it.
+    assert rebuffered == (queued if protocol == "aodv" else queued[1:])
+    assert row.delivered == 0
+    assert row.drops["discovery_timeout"] == len(rebuffered)

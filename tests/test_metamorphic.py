@@ -14,10 +14,13 @@ implementation shares. Each compares the row, `transmissions_by_kind`,
   distance constant written into a protocol would break this.
 - **Swapping the axes.** Swapping x and y in every leg of the built traces
   mirrors the world about its diagonal. Every distance stays the same, so
-  aodv, crp and gpsr_greedy_only must give the same result. gpsr is left
-  out: the mirror turns its face walk's right-hand rule into a left-hand
-  one, so its perimeter hops differ. `tests/reference_geometry.py` checks
-  the walk's handedness.
+  aodv, crp and gpsr_greedy_only must give the same result. The mirror
+  turns gpsr's face walk from a right-hand rule into a left-hand one, so
+  the mirrored run replaces `gpsr.perimeter_next_hop` with a twin that
+  measures every angle in the unswapped frame, as `atan2(dx, dy)`; gpsr
+  must then give the same result too. The relation so checks everything in
+  gpsr but the walk's handedness, which `tests/reference_geometry.py`
+  checks.
 
 The draws are the fuzz test's runnable scenarios and the stage-2 pause
 ladder, both at short horizons.
@@ -26,21 +29,20 @@ ladder, both at short horizons.
 import dataclasses
 import os
 from collections import Counter
+from math import atan2, pi
 
 import pytest
 
+from manet_lab import gpsr
 from manet_lab.engine import Engine, build_traces
 from manet_lab.errors import ValidationError
-from manet_lab.geometry import Position
+from manet_lab.geometry import TWO_PI, Position
 from manet_lab.mobility import Leg, WaypointTrace
 from manet_lab.scenario import PROTOCOLS, load_scenario, validate_scenario
 
 from test_differential import outcome, runnable_fuzz_draws
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
-
-# Protocols whose decisions read only distances, never a turning direction.
-MIRROR_SAFE = ("aodv", "crp", "gpsr_greedy_only")
 
 
 def run(sc, traces=None):
@@ -67,9 +69,38 @@ def mirrored(sc):
                                area_height=sc.area_width), traces
 
 
+def unswapped_perimeter_next_hop(self_pos, planar, ref_pos, arrived_from):
+    """`gpsr.perimeter_next_hop` with every angle measured in the unswapped
+    frame, as atan2(dx, dy): in the mirrored world it picks the edge that
+    the right-hand rule picks in the original one. The sweep is the same
+    float expression, so the choice is exact, ties included."""
+    sx, sy = self_pos
+    rx, ry = ref_pos
+    degenerate_ref = rx == sx and ry == sy
+    if not degenerate_ref:
+        ref_angle = atan2(sx - rx, sy - ry)
+    best = None
+    best_sweep = 0.0
+    for e in planar:
+        ex, ey = e.pos
+        if ex == sx and ey == sy:
+            continue
+        if e.neighbor == arrived_from:
+            sweep = TWO_PI
+        elif degenerate_ref:
+            sweep = 0.0
+        else:
+            sweep = ((atan2(ex - sx, ey - sy) - ref_angle) % TWO_PI + pi) % TWO_PI
+        if best is None or sweep < best_sweep or (sweep == best_sweep
+                                                  and e.neighbor < best):
+            best_sweep = sweep
+            best = e.neighbor
+    return best
+
+
 def twin_worlds(sc):
     """(relation, scenario, traces) for each twin world of sc: both scaled
-    twins that validate, and the mirror for a protocol that allows it."""
+    twins that validate, and the mirror."""
     for factor in (2.0, 0.5):
         twin = scaled(sc, factor)
         try:
@@ -77,16 +108,20 @@ def twin_worlds(sc):
         except ValidationError:
             continue
         yield f"scaling by {factor}", twin, None
-    if sc.protocol in MIRROR_SAFE:
-        yield ("swapping the axes", *mirrored(sc))
+    yield ("swapping the axes", *mirrored(sc))
 
 
 def assert_twin_worlds_agree(sc) -> list[str]:
-    """Run sc and each of its twin worlds; returns the relations checked."""
+    """Run sc and each of its twin worlds; returns the relations checked.
+    The mirror's gpsr face walk turns as in sc (only gpsr calls it)."""
     base = run(sc)
     relations = []
     for relation, twin, traces in twin_worlds(sc):
-        assert run(twin, traces) == base, f"{relation} changed {sc}"
+        with pytest.MonkeyPatch.context() as mp:
+            if traces is not None:
+                mp.setattr(gpsr, "perimeter_next_hop",
+                           unswapped_perimeter_next_hop)
+            assert run(twin, traces) == base, f"{relation} changed {sc}"
         relations.append(relation)
     return relations
 
@@ -97,10 +132,8 @@ def test_fuzz_draws_agree_with_twin_worlds():
         for relation in assert_twin_worlds_agree(sc):
             checked[relation, sc.protocol] += 1
     for protocol in PROTOCOLS:
-        for factor in (2.0, 0.5):
-            assert checked[f"scaling by {factor}", protocol] >= 10, checked
-    for protocol in MIRROR_SAFE:
-        assert checked["swapping the axes", protocol] >= 10, checked
+        for relation in ("scaling by 2.0", "scaling by 0.5", "swapping the axes"):
+            assert checked[relation, protocol] >= 10, checked
 
 
 @pytest.mark.parametrize("pause", [0.0, 10.0, 20.0, 40.0])
@@ -112,4 +145,4 @@ def test_pause_ladder_agrees_with_twin_worlds(pause, protocol):
                              duration_s=max(15.0, pause + 5.0),
                              jitter_max_s=0.002, aodv_hello=pause == 10.0)
     relations = assert_twin_worlds_agree(sc)
-    assert len(relations) == (3 if protocol in MIRROR_SAFE else 2)
+    assert len(relations) == 3

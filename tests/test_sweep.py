@@ -82,6 +82,14 @@ def test_repeated_cell_rejected(axis, values, protocols, field):
     assert err.value.field == field
 
 
+def test_empty_protocol_list_rejected():
+    # An empty list is not the default: it must not run base.protocol.
+    with pytest.raises(ValidationError) as err:
+        SweepPlan(base=BASE, axis="pause", values=[0], replications=1,
+                  protocols=[])
+    assert err.value.field == "protocols"
+
+
 def test_protocol_fairness_same_traces_and_traffic():
     # Within one cell and replication every protocol sees identical mobility
     # and traffic; the RNG labels never mention the protocol.

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 scenario validation/parse error (or a --jobs below 1,
 a MANET_LAB_JOBS that is not an integer >= 1, or a sweep listing a value or
-protocol twice or none at all), 2 runtime failure, including a failed cell.
+protocol twice or none at all, or --protocols on the protocol axis), 2 runtime
+failure, including a failed cell.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from .metrics import MetricsRow
 from .mobility import position_at
 from .scenario import Scenario, format_scenario, load_scenario, validate_scenario
 from .sweep import (AXIS_FIELDS, SweepPlan, aggregate, render_table, run_sweep,
-                    write_csv, write_table)
+                    write_csv)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated axis values")
     sweep_p.add_argument("--reps", type=int, default=1)
     sweep_p.add_argument("--protocols", default=None,
-                         help="comma-separated protocol list")
+                         help="comma-separated protocol list (not on the "
+                              "protocol axis, which takes --values)")
     sweep_p.add_argument("--jobs", type=int, default=None,
                          help="parallel runs (default MANET_LAB_JOBS or 1)")
     sweep_p.add_argument("--out", type=Path, default=None,
@@ -103,11 +105,12 @@ def _cmd_sweep(args) -> int:
     for row in rows:
         print(row.to_csv_row())
     print()
-    print(render_table(aggregate(rows)))
+    table = render_table(aggregate(rows))
+    print(table)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         write_csv(rows, args.out / "results.csv")
-        write_table(rows, args.out / "results.txt")
+        (args.out / "results.txt").write_text(table)
     return 2 if failures else 0
 
 

@@ -66,17 +66,15 @@ class Packet:
 
 
 def clone(pkt: Packet) -> Packet:
-    """Copy with its own headers, so changing it leaves pkt untouched.
+    """Copy with its own aodv header, so changing it leaves pkt untouched.
 
     Every receiver of a broadcast gets the same packet object, so code that
-    changes a received broadcast (a rebroadcast with a lower ttl, say) must
-    change a clone. A unicast's receiver owns the packet and needs no copy.
+    changes a received broadcast (an RREQ relayed with a lower ttl) must
+    change a clone. No broadcast carries geo, since DATA is only unicast; a
+    unicast's receiver owns the packet and needs no copy.
     """
     a = pkt.aodv
-    g = pkt.geo
     if a is not None:
         a = AodvHeader(a.rreq_id, a.origin_seq, a.dst_seq, a.hop_count)
-    if g is not None:
-        g = GeoHeader(g.dst_pos, g.mode, g.loc_entry, g.first_edge)
     return Packet(pkt.uid, pkt.kind, pkt.origin, pkt.final_dst, pkt.created_at,
-                  pkt.ttl, pkt.size_bytes, a, g, pkt.src_pos, pkt.rerr_dsts)
+                  pkt.ttl, pkt.size_bytes, a, pkt.geo, pkt.src_pos, pkt.rerr_dsts)

@@ -24,7 +24,7 @@ class SweepPlan:
     axis: str
     values: list
     replications: int
-    protocols: list[str] | None = None  # defaults to [base.protocol]
+    protocols: list[str] | None = None  # [base.protocol] off the protocol axis
 
     def __post_init__(self):
         if self.axis not in AXIS_FIELDS:
@@ -36,7 +36,13 @@ class SweepPlan:
                                   field="replications")
         if not self.values:
             raise ValidationError("need at least one value", field="values")
-        if self.protocols is not None and not self.protocols:
+        if self.axis == "protocol":
+            if self.protocols is not None:  # it would go unused
+                raise ValidationError("the protocol axis takes its protocols "
+                                      "from values", field="protocols")
+        elif self.protocols is None:
+            self.protocols = [self.base.protocol]
+        elif not self.protocols:
             raise ValidationError("need at least one protocol", field="protocols")
         # Values convert as scenario text does; a repeated cell would run
         # twice and count twice in the table's n.
@@ -53,21 +59,16 @@ def plan_cells(plan: SweepPlan) -> list[Scenario]:
     and replication; replication k runs with seed base.seed + k so all
     protocols in a cell share mobility and traffic."""
     field = AXIS_FIELDS[plan.axis]
-    protocols = plan.protocols or [plan.base.protocol]
-    if plan.axis == "protocol":
-        protocols = [None]
     cells = []
     for value in plan.values:
-        for proto in protocols:
+        for proto in [value] if plan.axis == "protocol" else plan.protocols:
             for rep in range(plan.replications):
-                overrides = {
+                sc = dataclasses.replace(plan.base, **{
+                    "protocol": proto,
                     field: value,
                     "seed": plan.base.seed + rep,
                     "name": f"{plan.axis}={value}",
-                }
-                if proto is not None:
-                    overrides["protocol"] = proto
-                sc = dataclasses.replace(plan.base, **overrides)
+                })
                 validate_scenario(sc)
                 cells.append(sc)
     return cells
@@ -126,11 +127,6 @@ def write_csv(rows: list[MetricsRow], path: str | Path) -> None:
     lines = [MetricsRow.csv_header()]
     lines += [row.to_csv_row() for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_table(rows: list[MetricsRow], path: str | Path) -> None:
-    """The aggregated mean/stddev text of `render_table`."""
-    Path(path).write_text(render_table(aggregate(rows)))
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

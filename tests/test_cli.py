@@ -291,6 +291,9 @@ def test_sweep_writes_rows_and_table(tmp_path, capsys):
     assert len(csv_lines) == 1 + 2 * 2 * 2
     table = (out_dir / "results.txt").read_text()
     assert "delivery_ratio" in table and "pause=0.0" in table
+    # The file holds the table block printed after the rows, byte for byte.
+    printed_table = capsys.readouterr().out.split("\n\n", 1)[1]
+    assert (out_dir / "results.txt").read_bytes() == printed_table[:-1].encode()
 
 
 def test_sweep_table_lists_cells_in_plan_order(tmp_path, capsys):
@@ -369,6 +372,8 @@ def test_sweep_bad_axis_value_exits_1(tmp_path, capsys, monkeypatch,
     (["--axis", "pause", "--values", "40,40.0"], "values"),
     (["--axis", "rate", "--values", "4,4.0", "--reps", "2"], "values"),
     (["--axis", "pause", "--values", "0", "--protocols", "aodv,aodv"],
+     "protocols"),
+    (["--axis", "protocol", "--values", "aodv", "--protocols", "crp,gpsr"],
      "protocols"),
 ])
 def test_sweep_repeated_cell_exits_1(tmp_path, capsys, monkeypatch, args, field):

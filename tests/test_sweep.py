@@ -54,7 +54,7 @@ def test_string_values_convert_like_scenario_text():
     assert n_cells[0].n_nodes == 12 and n_cells[0].name == "n_nodes=12"
 
 
-def test_protocol_axis_ignores_protocol_list():
+def test_protocol_axis_takes_protocols_from_values():
     plan = SweepPlan(base=BASE, axis="protocol",
                      values=["aodv", "gpsr", "crp"], replications=2)
     cells = plan_cells(plan)
@@ -73,9 +73,12 @@ def test_unknown_axis_rejected():
     ("rate", ["4", " 4.0"], None, "values"),
     ("protocol", ["aodv", "crp", "aodv"], None, "values"),
     ("pause", [0, 40], ["aodv", "gpsr", "aodv"], "protocols"),
+    ("protocol", ["aodv"], ["crp", "gpsr"], "protocols"),
 ])
 def test_repeated_cell_rejected(axis, values, protocols, field):
-    # A repeat would run the same cell twice and count it twice in n.
+    # A repeat would run the same cell twice and count it twice in n. A
+    # protocol list on the protocol axis names cells a second time, beside
+    # values, and would go unrun.
     with pytest.raises(ValidationError) as err:
         SweepPlan(base=BASE, axis=axis, values=values, replications=2,
                   protocols=protocols)

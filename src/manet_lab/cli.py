@@ -16,7 +16,7 @@ from .engine import Engine
 from .errors import ParseError, ValidationError
 from .metrics import MetricsRow
 from .mobility import position_at
-from .scenario import Scenario, format_scenario, load_scenario, validate_scenario
+from .scenario import Scenario, format_scenario, load_scenario
 from .sweep import (AXIS_FIELDS, SweepPlan, aggregate, render_table, run_sweep,
                     write_csv)
 
@@ -63,10 +63,7 @@ def _load(path: Path, seed: int | None = None, protocol: str | None = None) -> S
         overrides["seed"] = seed
     if protocol is not None:
         overrides["protocol"] = protocol
-    if overrides:
-        sc = dataclasses.replace(sc, **overrides)
-        validate_scenario(sc)
-    return sc
+    return dataclasses.replace(sc, **overrides)
 
 
 def _cmd_run(args) -> int:

@@ -29,6 +29,10 @@ from .radio import Radio
 from .scenario import Scenario
 from .traffic import CbrStream, make_streams
 
+# gpsr_greedy_only is GpsrNode with its perimeter mode off.
+NODE_CLASSES = {"aodv": AodvNode, "gpsr": GpsrNode,
+                "gpsr_greedy_only": GpsrNode, "crp": CrpNode}
+
 
 def build_traces(sc: Scenario) -> list[WaypointTrace]:
     rng = rng_stream(sc.seed, "mobility")
@@ -68,20 +72,11 @@ class Engine:
         self.radio = Radio(scenario, self.traces, self.sim, self.metrics,
                            self.rng_jitter)
         self._uids = itertools.count()
-        self.protocols = [self._make_protocol(i) for i in range(scenario.n_nodes)]
+        node_class = NODE_CLASSES[scenario.protocol]
+        self.protocols = [node_class(self, i) for i in range(scenario.n_nodes)]
         self.flood_log: list[tuple[int, int, SimTime]] = []
         self.hop_log: dict[int, list[tuple[int, SimTime, str]]] | None = \
             {} if record_hops else None
-
-    def _make_protocol(self, node: int):
-        proto = self.scenario.protocol
-        if proto == "aodv":
-            return AodvNode(self, node)
-        if proto in ("gpsr", "gpsr_greedy_only"):
-            return GpsrNode(self, node)
-        if proto == "crp":
-            return CrpNode(self, node)
-        raise ValueError(f"unknown protocol {proto!r}")
 
     # -- services used by protocol state machines ------------------------
 

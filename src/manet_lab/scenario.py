@@ -40,9 +40,11 @@ _TRUE = {"on", "true", "yes", "1"}
 _FALSE = {"off", "false", "no", "0"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One experiment description; every field has a documented default."""
+    """One experiment description; every field has a documented default.
+    Frozen, and validated whenever one is made (constructed, parsed or
+    `dataclasses.replace`d), so an invalid one raises ValidationError."""
 
     name: str = "scenario"
     n_nodes: int = 30
@@ -82,6 +84,9 @@ class Scenario:
     escape_cache: bool = True
     reanchor_on_route_loss: bool = True
 
+    def __post_init__(self):
+        validate_scenario(self)
+
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Scenario)}
 _NUMBERS = [name for name, f in _FIELDS.items() if f.type in (int, float)]
@@ -120,7 +125,7 @@ def _convert(field_name: str, raw: str, line: int | None = None):
 
 
 def parse_scenario(text: str, name: str | None = None) -> Scenario:
-    """Parse and validate; unknown keys and malformed lines are rejected
+    """Parse into a Scenario; unknown keys and malformed lines are rejected
     with their line number, bad values with the field name."""
     values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -136,9 +141,7 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
         values[key] = _convert(key, raw_value, lineno)
     if name is not None and "name" not in values:
         values["name"] = name
-    scenario = Scenario(**values)
-    validate_scenario(scenario)
-    return scenario
+    return Scenario(**values)
 
 
 def load_scenario(path: str | Path) -> Scenario:

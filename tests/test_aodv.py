@@ -488,3 +488,16 @@ def test_run_metrics_keep_no_state_per_delivered_packet(stage1_aodv_runs):
     for name, value in vars(metrics).items():
         if hasattr(value, "__len__"):
             assert len(value) <= max(metrics.in_flight, 16), name
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "crp"])
+def test_full_origin_buffer_drops_its_oldest_packet(protocol):
+    # Node 1 is out of range, so every packet waits on one discovery; with
+    # room for two, the third and fourth push out the first and second.
+    engine = static_engine({0: Position(0, 0), 1: Position(900, 0)}, protocol,
+                           duration_s=5.0, buffer_cap=2,
+                           streams=[one_shot_stream(0, 1, at_s=1.0 + 0.01 * k)
+                                    for k in range(4)])
+    engine.run()
+    ends = [engine.hop_log[uid][-1][2] for uid in sorted(engine.hop_log)]
+    assert ends == ["dropped:buffer"] * 2 + ["dropped:discovery_timeout"] * 2

@@ -219,17 +219,31 @@ def test_validate_bounds_radio_scans(tmp_path, capsys, monkeypatch, text, code):
     validate_without_engine(tmp_path, capsys, monkeypatch, text, code, "n_nodes")
 
 
-def validate_without_engine(tmp_path, capsys, monkeypatch, text, code, field):
+def validate_without_engine(tmp_path, capsys, monkeypatch, text, code, field,
+                            command=("validate",)):
+    """Run `command[0] <scenario> command[1:]` with no engine allowed."""
     import manet_lab.cli as cli_mod
 
     def no_engine(*args, **kwargs):
-        raise AssertionError("validate must not start an engine")
+        raise AssertionError("an invalid scenario must not start an engine")
 
     monkeypatch.setattr(cli_mod, "Engine", no_engine)
     path = write_scn(tmp_path, text)
-    assert main(["validate", str(path)]) == code
+    assert main([command[0], str(path), *command[1:]]) == code
     if code:
         assert f"scenario error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, field", [
+    ("--protocol", "olsr", "protocol"),
+    ("--seed", "-1", "seed"),
+])
+def test_run_invalid_override_exits_1(tmp_path, capsys, monkeypatch, option, value,
+                                      field):
+    # An override makes its Scenario with dataclasses.replace, which
+    # validates it as a file's values are validated.
+    validate_without_engine(tmp_path, capsys, monkeypatch, TINY, 1, field,
+                            command=("run", option, value))
 
 
 def test_run_prints_header_echo_and_row(tmp_path, capsys):

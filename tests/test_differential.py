@@ -38,7 +38,7 @@ from manet_lab.gpsr import GpsrNode, planarize_gg
 from manet_lab.mobility import Leg, WaypointTrace, position_at
 from manet_lab.packets import BEACON, HELLO, RREQ, clone
 from manet_lab.radio import DELIVERED, LINK_FAILURE
-from manet_lab.scenario import Scenario, load_scenario, validate_scenario
+from manet_lab.scenario import Scenario, load_scenario
 
 from conftest import VOID_D, VOID_POSITIONS, VOID_S, VOID_U3, cbr
 from test_fuzz import N_SCENARIOS, draw_scenario
@@ -138,9 +138,8 @@ def runnable_fuzz_draws():
     """The fuzz test's draws that validate, cut to HORIZON_S."""
     rng = random.Random(2026)
     for _ in range(N_SCENARIOS):
-        sc = draw_scenario(rng)
-        try:
-            validate_scenario(sc)
+        try:  # making a Scenario validates it
+            sc = draw_scenario(rng)
         except ValidationError:
             continue
         yield dataclasses.replace(sc, duration_s=min(sc.duration_s, HORIZON_S))
@@ -189,7 +188,6 @@ def test_slow_floods_match_plain_twins(protocol):
     base = load_scenario(os.path.join(SCENARIO_DIR, "stage2_mobility.scn"))
     sc = dataclasses.replace(base, protocol=protocol, seed=5, duration_s=20.0,
                              pause_s=10.0, jitter_max_s=0.05, rreq_ttl=3)
-    validate_scenario(sc)
     assert_twins_agree(sc)
 
 
@@ -271,7 +269,6 @@ def test_phase_change_on_a_send_matches_plain_twins(protocol, jitter):
                   duration_s=PHASE_HORIZON_S, seed=3, pause_s=PHASE_HORIZON_S,
                   n_streams=len(streams), jitter_max_s=jitter,
                   aodv_hello=protocol == "aodv")
-    validate_scenario(sc)
     plan = plan_phase_changes(sc, streams, PHASE_CASES[protocol])
     traces = phase_traces(sc, plan)
     log = sends(sc, traces, streams)

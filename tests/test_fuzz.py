@@ -17,7 +17,7 @@ import pytest
 
 from manet_lab.engine import Engine
 from manet_lab.errors import ValidationError
-from manet_lab.scenario import PROTOCOLS, Scenario, validate_scenario
+from manet_lab.scenario import PROTOCOLS, Scenario
 
 N_SCENARIOS = 500
 # Simulated seconds each valid scenario runs: long enough for traffic,
@@ -80,14 +80,12 @@ def test_drawn_scenarios_are_rejected_or_run_and_balance():
     rng = random.Random(2026)
     outcomes = {"rejected": 0, "ran": 0}
     for i in range(N_SCENARIOS):
-        sc = draw_scenario(rng)
-        try:
-            validate_scenario(sc)
+        try:  # making a Scenario validates it
+            sc = draw_scenario(rng)
         except ValidationError:
             outcomes["rejected"] += 1
             continue
         short = dataclasses.replace(sc, duration_s=min(sc.duration_s, HORIZON_S))
-        validate_scenario(short)
         try:
             row = run_under_budget(short)
         except Exception as exc:

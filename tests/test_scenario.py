@@ -88,6 +88,18 @@ def test_validation_names_offending_field():
         validate_scenario(Scenario(n_nodes=1))
     with pytest.raises(ValidationError):
         validate_scenario(Scenario(rate_pps=0))
+    # Making a Scenario validates it, however it is made, and a made one
+    # cannot change: Engine and run_one never see an invalid one.
+    for make, field in ((lambda: Scenario(rate_pps=3e6, duration_s=1.0), "rate_pps"),
+                        (lambda: dataclasses.replace(Scenario(), n_nodes=1),
+                         "n_nodes")):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert err.value.field == field
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Scenario().rate_pps = 0
+    from manet_lab.engine import NODE_CLASSES
+    assert set(NODE_CLASSES) == set(PROTOCOLS)
 
 
 NUMERIC_KEYS = [f.name for f in dataclasses.fields(Scenario)

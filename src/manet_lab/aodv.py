@@ -104,8 +104,8 @@ class _Discovery:
 class ReactiveCore:
     """Flood/reply machinery bound to one node, and the one reactive send
     rule, `send_or_discover`: send on a live route, otherwise buffer the
-    packet and discover one (RFC 3561 6.3). aodv sources, crp anchors and
-    every flush of a discovery's buffer use it.
+    packet and discover one (RFC 3561 6.3). aodv sources, crp's stuck nodes
+    and route-mode relays, and every flush of a discovery's buffer use it.
 
     The owner supplies three hooks: `send_on_route(pkt, entry)` sends a
     packet along a live route, `on_link_failure(next_hop, pkt)` handles a

@@ -1,9 +1,8 @@
 """Command-line entry points: run one scenario, sweep an axis, or validate.
 
 Exit codes: 0 success, 1 scenario validation/parse error (or a --jobs below 1,
-a MANET_LAB_JOBS that is not an integer >= 1, or a sweep listing a value or
-protocol twice or none at all, or --protocols on the protocol axis), 2 runtime
-failure, including a failed cell.
+a sweep listing a value or protocol twice or none at all, or --protocols on
+the protocol axis), 2 runtime failure, including a failed cell.
 """
 
 import argparse
@@ -46,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--protocols", default=None,
                          help="comma-separated protocol list (not on the "
                               "protocol axis, which takes --values)")
-    sweep_p.add_argument("--jobs", type=int, default=None,
-                         help="parallel runs (default MANET_LAB_JOBS or 1)")
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="parallel runs (default 1)")
     sweep_p.add_argument("--out", type=Path, default=None,
                          help="directory for results.csv and results.txt")
 

@@ -5,12 +5,15 @@ closer neighbor exists. A node with no closer neighbor does not walk the
 void's perimeter; instead it runs a cut-down reactive discovery anchored at
 itself (not at the packet's original source) and pushes the packet along the
 discovered route. Once a packet rides a discovered route it never returns to
-greedy mode. The cut-down discovery differs from the standalone reactive
-protocol in two ways: a broken route is never repaired (the in-flight packet
-is lost, no error packets are sent, and later packets simply re-anchor a new
-discovery where they get stuck), and link liveness comes purely from the
-MAC-level unicast callback, with no hello traffic. Position beacons stay on
-because greedy mode cannot work without neighbor coordinates.
+greedy mode. A stuck node and every relay of a route-mode packet follow
+ReactiveCore's one send rule, `send_or_discover`: ride a live route, else
+discover one from here, so a relay whose route evaporated is the new anchor.
+The cut-down discovery differs from the standalone reactive protocol in two
+ways: a broken route is never repaired (the in-flight packet is lost, no
+error packets are sent, and later packets simply re-anchor a new discovery
+where they get stuck), and link liveness comes purely from the MAC-level
+unicast callback, with no hello traffic. Position beacons stay on because
+greedy mode cannot work without neighbor coordinates.
 """
 
 from .aodv import ReactiveCore, RouteEntry
@@ -25,9 +28,6 @@ class CrpNode(BeaconMixin):
         self.engine = engine
         self.node = node
         self.core = ReactiveCore(engine, node, owner=self)
-        cfg = engine.scenario
-        self.escape_cache_enabled = cfg.escape_cache
-        self.reanchor_on_route_loss = cfg.reanchor_on_route_loss
         self._init_beacons(engine)
 
     def on_timer(self, discovery) -> None:
@@ -52,23 +52,14 @@ class CrpNode(BeaconMixin):
         # RERR is never generated in this protocol; ignore strays.
 
     def forward(self, pkt: Packet) -> None:
-        engine = self.engine
         if pkt.ttl < 1:
-            engine.drop(pkt, DropCause.TTL)
+            self.engine.drop(pkt, DropCause.TTL)
             return
         if pkt.geo.mode is GREEDY:
             self._forward_greedy(pkt)
         else:
-            entry = self.core.table.lookup_active(pkt.final_dst, engine.sim.now)
-            if entry is None:
-                # Route evaporated mid-path: this node becomes the new
-                # discovery anchor (or the packet dies if re-anchoring is off).
-                if self.reanchor_on_route_loss:
-                    self.on_local_maximum(pkt)
-                else:
-                    engine.drop(pkt, DropCause.LINK_FAILURE)
-            else:
-                self.core.forward(pkt, entry, "aodv_route")
+            # A relay whose route has evaporated becomes the new anchor.
+            self.core.send_or_discover(pkt)
 
     def _forward_greedy(self, pkt: Packet) -> None:
         engine = self.engine
@@ -93,10 +84,7 @@ class CrpNode(BeaconMixin):
     def on_local_maximum(self, pkt: Packet) -> None:
         """Greedy has no closer neighbor here: ride a cached escape route if
         one is fresh, otherwise buffer and flood a discovery from this node."""
-        if self.escape_cache_enabled:
-            self.core.send_or_discover(pkt)
-        else:
-            self.core.buffer_and_discover(pkt)
+        self.core.send_or_discover(pkt)
 
     def _switch_to_route(self, pkt: Packet) -> None:
         pkt.geo.mode = ROUTE

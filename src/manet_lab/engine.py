@@ -35,6 +35,9 @@ NODE_CLASSES = {"aodv": AodvNode, "gpsr": GpsrNode,
 
 
 def build_traces(sc: Scenario) -> list[WaypointTrace]:
+    """One trace per node; none for a run of 0 us, where nothing moves."""
+    if us(sc.duration_s) == 0:
+        return []
     rng = rng_stream(sc.seed, "mobility")
     return [
         random_waypoint_trace(sc.area_width, sc.area_height, sc.speed_mps,
@@ -64,9 +67,6 @@ class Engine:
         self.rng_beacon = rng_stream(scenario.seed, "beacon")
         self.rng_hello = rng_stream(scenario.seed, "hello")
         self.duration: SimTime = us(scenario.duration_s)
-        if self.duration == 0:  # empty run: nothing moves, nothing is sent
-            traces = traces if traces is not None else []
-            streams = streams if streams is not None else []
         self.traces = traces if traces is not None else build_traces(scenario)
         self.streams = streams if streams is not None else build_streams(scenario)
         self.radio = Radio(scenario, self.traces, self.sim, self.metrics,

@@ -81,8 +81,6 @@ class Scenario:
     beacon_interval_s: float = 1.0
     beacon_jitter_s: float = 0.25
     neighbor_timeout_s: float = 4.5
-    escape_cache: bool = True
-    reanchor_on_route_loss: bool = True
 
     def __post_init__(self):
         validate_scenario(self)
@@ -125,8 +123,8 @@ def _convert(field_name: str, raw: str, line: int | None = None):
 
 
 def parse_scenario(text: str, name: str | None = None) -> Scenario:
-    """Parse into a Scenario; unknown keys and malformed lines are rejected
-    with their line number, bad values with the field name."""
+    """Parse into a Scenario; unknown or repeated keys and malformed lines
+    are rejected with their line number, bad values with the field name."""
     values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -138,6 +136,8 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
         key = key.strip()
         if key not in _FIELDS:
             raise ParseError(f"unknown key {key!r}", line=lineno)
+        if key in values:
+            raise ParseError(f"key {key!r} is set twice", line=lineno)
         values[key] = _convert(key, raw_value, lineno)
     if name is not None and "name" not in values:
         values["name"] = name

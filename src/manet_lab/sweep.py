@@ -1,7 +1,6 @@
 """Replication sweeps over one scenario axis, with CSV and table writers."""
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,31 +78,14 @@ def _run_cell(sc: Scenario):
         return None, f"{sc.name} protocol={sc.protocol} seed={sc.seed}: {exc!r}"
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: `jobs` if given, else MANET_LAB_JOBS, else 1."""
-    if jobs is not None:
-        if jobs < 1:
-            raise ValidationError(f"must be >= 1, got {jobs}", field="jobs")
-        return jobs
-    env = os.environ.get("MANET_LAB_JOBS")
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValidationError(f"must be an integer >= 1, got {env!r}",
-                              field="MANET_LAB_JOBS")
-    return value
-
-
-def run_sweep(plan: SweepPlan, jobs: int | None = None
+def run_sweep(plan: SweepPlan, jobs: int = 1
               ) -> tuple[list[MetricsRow], list[str]]:
-    """Run every cell; returns (rows, failure messages). Rows come back in
-    plan order regardless of worker scheduling."""
+    """Run every cell on `jobs` worker processes (1 runs them here);
+    returns (rows, failure messages). Rows come back in plan order
+    regardless of worker scheduling."""
+    if jobs < 1:
+        raise ValidationError(f"must be >= 1, got {jobs}", field="jobs")
     cells = plan_cells(plan)
-    jobs = resolve_jobs(jobs)
     rows: list[MetricsRow] = []
     failures: list[str] = []
     if jobs > 1 and len(cells) > 1:
@@ -137,7 +119,8 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def aggregate(rows: list[MetricsRow]) -> dict:
     """Per-(scenario_id, protocol) mean and sample stddev of the three
-    reported metrics, replications collapsed."""
+    reported metrics, replications collapsed. The delay averages only the
+    runs that delivered a packet; `delay_n` counts them."""
     groups: dict[tuple[str, str], list[MetricsRow]] = {}
     for row in rows:
         groups.setdefault((row.scenario_id, row.protocol), []).append(row)
@@ -150,46 +133,51 @@ def aggregate(rows: list[MetricsRow]) -> dict:
             "n": len(members),
             "delivery_ratio": _mean_std(ratios),
             "mean_delay_ms": _mean_std(delays) if delays else None,
+            "delay_n": len(delays),
             "transmissions": _mean_std(overhead),
         }
     return table
+
+
+def _entry(stats: dict | None, field: str, fmt: str) -> str:
+    if stats is None or stats[field] is None:
+        return "-"
+    value = stats[field]
+    if field == "n":
+        return fmt.format(value)
+    mean, std = value
+    text = f"{fmt.format(mean)} ± {fmt.format(std)}"
+    if field == "mean_delay_ms" and stats["delay_n"] < stats["n"]:
+        text += f" (n={stats['delay_n']})"
+    return text
 
 
 def render_table(table: dict) -> str:
     """Aligned text: one block per metric, rows = scenario cells in plan
     order, columns = protocols. delivery_ratio is the count ratio also
     known as throughput. The last block gives the replications behind
-    each mean, so a failed run shows as a smaller n."""
+    each mean, so a failed run shows as a smaller n; a delay over fewer
+    runs, those that delivered, gives its own n."""
     cells = list(dict.fromkeys(k[0] for k in table))
-    protocols = sorted({k[1] for k in table},
-                       key=lambda p: PROTOCOLS.index(p) if p in PROTOCOLS else 99)
-    blocks = []
+    protocols = sorted({k[1] for k in table}, key=PROTOCOLS.index)
     metric_specs = [
         ("delivery_ratio (throughput)", "delivery_ratio", "{:.4f}"),
         ("mean_delay_ms", "mean_delay_ms", "{:.3f}"),
         ("transmissions_total", "transmissions", "{:.1f}"),
         ("replications (n)", "n", "{}"),
     ]
-    width = max([14] + [len(p) + 18 for p in protocols])
+    entries = {(title, cell): [_entry(table.get((cell, proto)), field, fmt)
+                               for proto in protocols]
+               for title, field, fmt in metric_specs for cell in cells}
+    # Two spaces at least between columns, however long an entry.
+    width = max([14] + [len(p) + 18 for p in protocols]
+                + [len(text) + 2 for row in entries.values() for text in row])
     label_w = max([10] + [len(c) for c in cells]) + 2
-    for title, field, fmt in metric_specs:
-        lines = [title]
-        header = " " * label_w + "".join(p.ljust(width) for p in protocols)
-        lines.append(header)
+    blocks = []
+    for title, _, _ in metric_specs:
+        lines = [title, " " * label_w + "".join(p.ljust(width) for p in protocols)]
         for cell in cells:
-            parts = [cell.ljust(label_w)]
-            for proto in protocols:
-                stats = table.get((cell, proto))
-                if stats is None or stats[field] is None:
-                    parts.append("-".ljust(width))
-                    continue
-                value = stats[field]
-                if field == "n":
-                    text = fmt.format(value)
-                else:
-                    mean, std = value
-                    text = f"{fmt.format(mean)} ± {fmt.format(std)}"
-                parts.append(text.ljust(width))
-            lines.append("".join(parts))
+            lines.append(cell.ljust(label_w) + "".join(
+                text.ljust(width) for text in entries[title, cell]))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -41,6 +41,11 @@ def test_validate_unknown_key_exits_1(tmp_path, capsys):
     path = write_scn(tmp_path, "warp_factor = 9\n")
     assert main(["validate", str(path)]) == 1
     assert "line 1" in capsys.readouterr().err
+    for text, line in (("escape_cache = off\n", 1),
+                       ("seed = 3\nseed = 4\n", 2)):
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert f"line {line}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, field", [
@@ -166,17 +171,26 @@ STAGE1 = (Path(__file__).resolve().parent.parent / "scenarios"
           / "stage1_load.scn").read_text()
 
 
+def stage1_with(overrides: str) -> str:
+    """stage1_load.scn with the keys that `overrides` sets taken from it
+    instead: a file may set a key only once."""
+    keys = {line.partition("=")[0].strip() for line in overrides.splitlines()}
+    kept = [line for line in STAGE1.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + overrides
+
+
 @pytest.mark.parametrize("text, code, field", [
     # 0 us hops: a perimeter loop would go on at one instant until its
     # data_ttl ran out (4.8e12 hops)
-    (STAGE1 + "protocol = gpsr\nduration_s = 60\ndata_ttl = 1000000000\n"
-     "processing_delay_s = 0\nbandwidth_bps = 1e12\n", 1, "data_ttl"),
+    (stage1_with("protocol = gpsr\nduration_s = 60\ndata_ttl = 1000000000\n"
+                 "processing_delay_s = 0\nbandwidth_bps = 1e12\n"), 1, "data_ttl"),
     # 20 streams * 4 pkt/s * 62500 s * 64 hops is exactly the bound of
     # 320,000,000
     ("duration_s = 62500\ndata_ttl = 64\n", 0, None),
     ("duration_s = 62500.001\ndata_ttl = 64\n", 1, "data_ttl"),
     # every trace has at least one leg, however short the run
-    (STAGE1 + "n_nodes = 100000000\nduration_s = 0.001\n", 1, "n_nodes"),
+    (stage1_with("n_nodes = 100000000\nduration_s = 0.001\n"), 1, "n_nodes"),
     # gpsr floods no discoveries, and its 1,000 beacons over 1 ms among
     # 1e6 nodes are exactly the radio-scan bound too
     ("protocol = gpsr\nn_nodes = 1000000\nduration_s = 0.001\n", 0, None),
@@ -354,13 +368,11 @@ def test_sweep_with_failed_cell_exits_2(tmp_path, capsys, monkeypatch):
     assert len((out_dir / "results.csv").read_text().splitlines()) == 2
 
 
-def test_malformed_jobs_variable_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MANET_LAB_JOBS", "two")
+def test_jobs_below_one_exits_1(tmp_path, capsys):
     path = write_scn(tmp_path, TINY)
-    assert main(["sweep", str(path), "--axis", "pause", "--values", "0"]) == 1
-    assert "MANET_LAB_JOBS" in capsys.readouterr().err
     assert main(["sweep", str(path), "--axis", "pause", "--values", "0",
                  "--jobs", "0"]) == 1
+    assert "jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis, value, field", [

@@ -51,14 +51,22 @@ def test_empty_file_gives_documented_defaults():
     assert "n_nodes = 30" in echoed
     assert "radio_range = 250.0" in echoed
     assert "rate_pps = 4.0" in echoed
-    assert "escape_cache = on" in echoed
+    assert "aodv_hello = off" in echoed
 
 
 def test_unknown_key_reports_line_number():
-    with pytest.raises(ParseError) as err:
-        parse_scenario("n_nodes = 30\nshoe_size = 42\n")
-    assert err.value.line == 2
-    assert "shoe_size" in str(err.value)
+    # crp's former ablation switches are unknown keys like any other, and a
+    # repeated key is refused at the repeat, not taken over the first value.
+    for text, line, message in [
+            ("n_nodes = 30\nshoe_size = 42\n", 2, "unknown key 'shoe_size'"),
+            ("n_nodes = 30\nescape_cache = on\n", 2, "unknown key 'escape_cache'"),
+            ("reanchor_on_route_loss = off\n", 1,
+             "unknown key 'reanchor_on_route_loss'"),
+            ("n_nodes = 30\n# again\nn_nodes = 50\n", 3, "'n_nodes' is set twice")]:
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == line
+        assert message in str(err.value)
 
 
 def test_malformed_line_reports_line_number():
@@ -77,7 +85,8 @@ def test_bad_value_type_rejected():
 def test_boolean_spellings():
     assert parse_scenario("aodv_hello = on\n").aodv_hello is True
     assert parse_scenario("aodv_hello = FALSE\n").aodv_hello is False
-    assert parse_scenario("escape_cache = 0\n").escape_cache is False
+    assert parse_scenario("aodv_hello = 1\n").aodv_hello is True
+    assert parse_scenario("aodv_hello = 0\n").aodv_hello is False
 
 
 def test_validation_names_offending_field():
@@ -173,8 +182,8 @@ def test_repo_scenarios_validate_across_their_sweep_grids():
              ("stage2_mobility.scn", "pause_s", [0, 10, 20, 40]),
              ("stage2_mobility.scn", "n_nodes", [30, 50, 100])]
     for name, field, values in grids:
-        text = (scenario_dir / name).read_text()
+        base = parse_scenario((scenario_dir / name).read_text())
         for value, protocol in itertools.product(values, PROTOCOLS):
-            sc = parse_scenario(f"{text}\n{field} = {value}\n"
-                                f"protocol = {protocol}\naodv_hello = on\n")
+            sc = dataclasses.replace(base, **{field: value}, protocol=protocol,
+                                     aodv_hello=True)
             assert getattr(sc, field) == value

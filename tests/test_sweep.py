@@ -1,5 +1,7 @@
 """Sweep expansion, fairness across protocols, aggregation, and emission."""
 
+import re
+
 import pytest
 
 from manet_lab.engine import Engine, build_streams, build_traces, run_one
@@ -7,7 +9,7 @@ from manet_lab.errors import ValidationError
 from manet_lab.metrics import MetricsRow
 from manet_lab.scenario import Scenario
 from manet_lab.sweep import (SweepPlan, aggregate, plan_cells, render_table,
-                             resolve_jobs, run_sweep, write_csv)
+                             run_sweep, write_csv)
 
 from conftest import assert_float_columns_exact
 
@@ -141,17 +143,18 @@ def test_empty_rows_emit_header_only(tmp_path):
     assert path.read_text() == MetricsRow.csv_header() + "\n"
 
 
-def test_aggregate_mean_and_stddev():
-    def row(ratio, delay, tx, seed):
-        return MetricsRow(protocol="aodv", scenario_id="pause=0", seed=seed,
-                          n_nodes=10, pause_s=0.0, rate_pps=4.0, sent=10,
-                          delivered=int(10 * ratio), delivery_ratio=ratio,
-                          mean_delay_ms=delay, transmissions_total=tx,
-                          drops={k: 0 for k in
-                                 ("ttl", "link_failure", "discovery_timeout",
-                                  "buffer", "perimeter_exhausted")})
+def made_row(ratio, delay, tx, seed, protocol="aodv"):
+    return MetricsRow(protocol=protocol, scenario_id="pause=0", seed=seed,
+                      n_nodes=10, pause_s=0.0, rate_pps=4.0, sent=10,
+                      delivered=int(10 * ratio), delivery_ratio=ratio,
+                      mean_delay_ms=delay, transmissions_total=tx,
+                      drops={k: 0 for k in
+                             ("ttl", "link_failure", "discovery_timeout",
+                              "buffer", "perimeter_exhausted")})
 
-    table = aggregate([row(0.8, 10.0, 100, 1), row(0.6, 30.0, 140, 2)])
+
+def test_aggregate_mean_and_stddev():
+    table = aggregate([made_row(0.8, 10.0, 100, 1), made_row(0.6, 30.0, 140, 2)])
     stats = table[("pause=0", "aodv")]
     assert stats["n"] == 2
     assert stats["delivery_ratio"][0] == pytest.approx(0.7)
@@ -163,6 +166,42 @@ def test_aggregate_mean_and_stddev():
     assert "pause=0" in text and "aodv" in text
 
 
+def test_delay_over_fewer_runs_gives_its_own_n():
+    rows = [made_row(0.8, 10.0, 100, 1, "crp"), made_row(0.6, 30.0, 140, 1),
+            made_row(0.5, 20.0, 120, 2, "crp"), made_row(0.7, 40.0, 150, 2)]
+    # Where every run delivered, no entry carries a count of its own.
+    pad = " " * 12
+    delivered_everywhere = (
+        "delivery_ratio (throughput)\n"
+        f"{pad}aodv                  crp                   \n"
+        "pause=0     0.6500 ± 0.0707       0.6500 ± 0.2121       \n\n"
+        "mean_delay_ms\n"
+        f"{pad}aodv                  crp                   \n"
+        "pause=0     35.000 ± 7.071        15.000 ± 7.071        \n\n"
+        "transmissions_total\n"
+        f"{pad}aodv                  crp                   \n"
+        "pause=0     145.0 ± 7.1           110.0 ± 14.1          \n\n"
+        "replications (n)\n"
+        f"{pad}aodv                  crp                   \n"
+        "pause=0     2                     2                     \n")
+    assert render_table(aggregate(rows)) == delivered_everywhere
+    # A third aodv run delivers nothing: its delay is left out of the mean,
+    # and the entry says so, while the n block counts all three runs.
+    table = aggregate(rows + [made_row(0.0, None, 90, 3)])
+    assert table[("pause=0", "aodv")]["n"] == 3
+    assert table[("pause=0", "aodv")]["delay_n"] == 2
+    delay_line = render_table(table).split("mean_delay_ms\n")[1].splitlines()[1]
+    assert delay_line.split() == ["pause=0", "35.000", "±", "7.071", "(n=2)",
+                                  "15.000", "±", "7.071"]
+    # A longer entry widens the columns rather than running into the next.
+    slow = [made_row(0.6, 500.0, 140, 1), made_row(0.7, 700.0, 150, 2),
+            made_row(0.0, None, 90, 3), made_row(0.8, 10.0, 100, 1, "crp")]
+    delay_line = render_table(aggregate(slow)).split(
+        "mean_delay_ms\n")[1].splitlines()[1]
+    assert re.split(r" {2,}", delay_line) == [
+        "pause=0", "600.000 ± 141.421 (n=2)", "10.000 ± 0.000", ""]
+
+
 def test_parallel_jobs_match_serial():
     plan = SweepPlan(base=BASE, axis="rate", values=[2, 4], replications=2)
     serial_rows, _ = run_sweep(plan, jobs=1)
@@ -170,21 +209,12 @@ def test_parallel_jobs_match_serial():
     assert serial_rows == parallel_rows
 
 
-def test_resolve_jobs_reads_and_checks_environment(monkeypatch):
-    monkeypatch.delenv("MANET_LAB_JOBS", raising=False)
-    assert resolve_jobs(None) == 1
-    monkeypatch.setenv("MANET_LAB_JOBS", "3")
-    assert resolve_jobs(None) == 3
-    assert resolve_jobs(2) == 2  # an explicit count wins
+def test_run_sweep_rejects_jobs_below_one():
+    plan = SweepPlan(base=BASE, axis="rate", values=[2], replications=1)
     for bad in (0, -3):
         with pytest.raises(ValidationError) as err:
-            resolve_jobs(bad)
+            run_sweep(plan, jobs=bad)
         assert err.value.field == "jobs"
-    for bad in ("two", "1.5", "0", "-4"):
-        monkeypatch.setenv("MANET_LAB_JOBS", bad)
-        with pytest.raises(ValidationError) as err:
-            resolve_jobs(None)
-        assert err.value.field == "MANET_LAB_JOBS"
 
 
 def test_duration_zero_run_is_empty():

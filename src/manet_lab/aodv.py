@@ -223,13 +223,6 @@ class ReactiveCore:
 
     # -- flood handling ------------------------------------------------
 
-    def on_rreq(self, pkt: Packet, sender: int) -> None:
-        """A received flood copy. Most are repeats: only a first sight
-        reaches `handle_rreq`, since an origin marks its own flood seen and
-        the seen window outlasts every copy."""
-        if (pkt.origin, pkt.aodv.rreq_id) not in self.seen:
-            self.handle_rreq(pkt, sender)
-
     def handle_rreq(self, pkt: Packet, sender: int) -> None:
         hdr = pkt.aodv
         now = self.engine.sim.now
@@ -301,6 +294,18 @@ class ReactiveCore:
         self._send(back.next_hop, pkt)
 
 
+def hear_rreq(engine, pkt: Packet, sender: int, receivers) -> None:
+    """A flood copy's receivers, in id order. Most copies are repeats: only
+    a receiver's first sight reaches its `handle_rreq`, since an origin
+    marks its own flood seen and the seen window outlasts every copy."""
+    protocols = engine.protocols
+    key = (pkt.origin, pkt.aodv.rreq_id)
+    for receiver in receivers:
+        core = protocols[receiver].core
+        if key not in core.seen:
+            core.handle_rreq(pkt, sender)
+
+
 class AodvNode:
     """Full reactive protocol state machine for one node.
 
@@ -338,17 +343,26 @@ class AodvNode:
         self.core.forward(pkt, entry, "aodv")
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
-        kind = pkt.kind
-        if kind is DATA:
+        """A unicast arrival: data or a route reply."""
+        if pkt.kind is DATA:
             self._handle_data(pkt, sender)
-        elif kind is RREQ:
-            self.core.on_rreq(pkt, sender)
-        elif kind is RREP:
+        else:
             self.core.handle_rrep(pkt, sender)
+
+    @staticmethod
+    def hear(engine, pkt: Packet, sender: int, receivers) -> None:
+        """A broadcast arrival (a flood copy, a route error or a hello),
+        heard by each receiver in id order."""
+        kind = pkt.kind
+        if kind is RREQ:
+            hear_rreq(engine, pkt, sender, receivers)
         elif kind is RERR:
-            self._handle_rerr(pkt, sender)
+            for receiver in receivers:
+                engine.protocols[receiver]._handle_rerr(pkt, sender)
         elif kind is HELLO:
-            self._hello_heard[sender] = self.engine.sim.now
+            now = engine.sim.now
+            for receiver in receivers:
+                engine.protocols[receiver]._hello_heard[sender] = now
 
     def _handle_data(self, pkt: Packet, sender: int) -> None:
         entry = self.core.table.lookup_active(pkt.final_dst, self.engine.sim.now)

@@ -16,10 +16,10 @@ unicast callback, with no hello traffic. Position beacons stay on because
 greedy mode cannot work without neighbor coordinates.
 """
 
-from .aodv import ReactiveCore, RouteEntry
-from .gpsr import BeaconMixin, greedy_next_hop
+from .aodv import ReactiveCore, RouteEntry, hear_rreq
+from .gpsr import BeaconMixin, greedy_next_hop, hear_beacon
 from .metrics import DropCause
-from .packets import BEACON, DATA, GREEDY, ROUTE, RREP, RREQ, GeoHeader, Packet
+from .packets import BEACON, DATA, GREEDY, ROUTE, GeoHeader, Packet
 from .radio import DELIVERED
 
 
@@ -40,16 +40,20 @@ class CrpNode(BeaconMixin):
         self.forward(pkt)
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
-        kind = pkt.kind
-        if kind is BEACON:
-            self.nbrs.update(sender, pkt.src_pos, self.engine.sim.now)
-        elif kind is DATA:
+        """A unicast arrival: data or a route reply."""
+        if pkt.kind is DATA:
             self.forward(pkt)
-        elif kind is RREQ:
-            self.core.on_rreq(pkt, sender)
-        elif kind is RREP:
+        else:
             self.core.handle_rrep(pkt, sender)
-        # RERR is never generated in this protocol; ignore strays.
+
+    @staticmethod
+    def hear(engine, pkt: Packet, sender: int, receivers) -> None:
+        """A broadcast arrival, a beacon or a flood copy, heard by each
+        receiver in id order. crp sends no RERR and no hello."""
+        if pkt.kind is BEACON:
+            hear_beacon(engine, pkt, sender, receivers)
+        else:
+            hear_rreq(engine, pkt, sender, receivers)
 
     def forward(self, pkt: Packet) -> None:
         if pkt.ttl < 1:

@@ -8,6 +8,10 @@ The engine makes every packet (`Engine.packet` stamps its uid and birth
 time) and delivers every data packet, at its emission for a self-addressed
 stream and at its arrival at `final_dst` otherwise. Protocols only route.
 
+A packet arrival, `(pkt, sender, receivers)`, of a unicast kind (DATA,
+RREP) goes to its one receiver's `on_packet`. A broadcast arrival goes
+whole to the node class's `hear(engine, pkt, sender, receivers)`, one
+call that runs each receiver in id order to the end before the next.
 Every other event carries the call it makes, `(fn, arg)`, and dispatch
 calls `fn(arg)`: a stream's next packet is `(self._emit, index)`, a tick
 `(BeaconMixin.on_beacon_tick, node)` or `(AodvNode._hello_tick, node)`, and
@@ -24,7 +28,7 @@ from .geometry import Position
 from .gpsr import GpsrNode
 from .metrics import DropCause, MetricsRow, RunMetrics
 from .mobility import WaypointTrace, position_at, random_waypoint_trace
-from .packets import DATA, Packet, PacketKind
+from .packets import DATA, RREP, Packet, PacketKind
 from .radio import Radio
 from .scenario import Scenario
 from .traffic import CbrStream, make_streams
@@ -74,6 +78,7 @@ class Engine:
         self._uids = itertools.count()
         node_class = NODE_CLASSES[scenario.protocol]
         self.protocols = [node_class(self, i) for i in range(scenario.n_nodes)]
+        self.hear = node_class.hear  # a broadcast arrival's one entry point
         self.flood_log: list[tuple[int, int, SimTime]] = []
         self.hop_log: dict[int, list[tuple[int, SimTime, str]]] | None = \
             {} if record_hops else None
@@ -120,13 +125,15 @@ class Engine:
     def _dispatch(self, ev) -> None:
         if ev.kind is PACKET_ARRIVAL:
             pkt, sender, receivers = ev.payload
-            dst = pkt.final_dst if pkt.kind is DATA else -1
-            protocols = self.protocols
-            for receiver in receivers:
-                if receiver == dst:
+            kind = pkt.kind
+            if kind is DATA or kind is RREP:
+                (receiver,) = receivers  # a unicast
+                if kind is DATA and receiver == pkt.final_dst:
                     self._deliver(receiver, pkt)
                 else:
-                    protocols[receiver].on_packet(pkt, sender)
+                    self.protocols[receiver].on_packet(pkt, sender)
+            else:
+                self.hear(self, pkt, sender, receivers)
         else:  # a timer or a stream's emission
             fn, arg = ev.payload
             fn(arg)

@@ -14,7 +14,7 @@ from math import atan2, hypot, pi
 from .core import SimTime, us
 from .geometry import TWO_PI, Position
 from .metrics import DropCause
-from .packets import BEACON, DATA, GREEDY, PERIMETER, GeoHeader, Packet
+from .packets import BEACON, GREEDY, PERIMETER, GeoHeader, Packet
 from .radio import DELIVERED
 
 
@@ -157,6 +157,16 @@ def _resume_greedy(g: GeoHeader) -> None:
     g.loc_entry = g.first_edge = None
 
 
+def hear_beacon(engine, pkt: Packet, sender: int, receivers) -> None:
+    """A beacon's receivers, in id order, each note the position it
+    advertises."""
+    protocols = engine.protocols
+    pos = pkt.src_pos
+    now = engine.sim.now
+    for receiver in receivers:
+        protocols[receiver].nbrs.update(sender, pos, now)
+
+
 class BeaconMixin:
     """Periodic position beaconing, shared by the geographic protocols:
     `start` schedules the first `on_beacon_tick` of this node, and each
@@ -216,10 +226,11 @@ class GpsrNode(BeaconMixin):
         self.forward(pkt, arrived_from=None)
 
     def on_packet(self, pkt: Packet, sender: int) -> None:
-        if pkt.kind is BEACON:
-            self.nbrs.update(sender, pkt.src_pos, self.engine.sim.now)
-        elif pkt.kind is DATA:
-            self.forward(pkt, arrived_from=sender)
+        """A unicast arrival, which in gpsr is always data."""
+        self.forward(pkt, arrived_from=sender)
+
+    # Beacons are gpsr's only broadcast.
+    hear = staticmethod(hear_beacon)
 
     def forward(self, pkt: Packet, arrived_from: int | None) -> None:
         engine = self.engine

@@ -7,8 +7,9 @@ keeps a cursor on the leg its last query fell on; a query outside that leg
 finds its leg by binary search. `WaypointTrace.coords_at` returns raw
 (x, y) floats for callers that fill flat coordinate lists, and
 `position_at` wraps the same computation in a `Position`. `phase_at`
-tells whether a node rests at t and until when, so the radio can keep a
-resting node's coordinates for the whole rest.
+tells whether a node rests at t, until when, and on which leg, so the
+radio can keep a resting node's coordinates for the whole rest and
+interpolate a moving node from its stored leg.
 """
 
 import random
@@ -54,17 +55,20 @@ class WaypointTrace:
         frac = (t - depart) / (arrive - depart)
         return sx + frac * (ex - sx), sy + frac * (ey - sy)
 
-    def phase_at(self, t: SimTime) -> tuple[bool, SimTime]:
-        """(rests, until): whether the node rests at t, which is when
-        `coords_at` returns its leg's end point, and the first instant after
-        t at which that may change: the leg's arrival while it moves, the
-        next departure (duration + 1 on the last leg) while it rests."""
+    def phase_at(self, t: SimTime) -> tuple[bool, SimTime, tuple]:
+        """(rests, until, leg): whether the node rests at t, which is when
+        `coords_at` returns its leg's end point, the first instant after t
+        at which that or the leg may change (the leg's arrival while it
+        moves, the next departure, or duration + 1 on the last leg, while
+        it rests), and the leg `coords_at` reads over [t, until), as
+        `(depart, arrive, sx, sy, ex, ey)`."""
         if not self._lo <= t < self._hi:
             self._seek(t)
-        arrive = self._cursor[1]
+        leg = self._cursor
+        arrive = leg[1]
         if t >= arrive:
-            return True, self._hi
-        return False, min(arrive, self._hi)
+            return True, self._hi, leg
+        return False, min(arrive, self._hi), leg
 
     def _seek(self, t: SimTime) -> None:
         """Point the cursor at the last leg departing at or before t."""

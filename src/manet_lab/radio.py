@@ -6,12 +6,15 @@ unicast either schedules exactly one arrival or reports a link failure
 synchronously to the sender (the MAC-level callback the hybrid protocol
 relies on). The verdict is decided by node positions at send time: a
 unicast reads its two nodes' mobility traces, and a broadcast reads the
-per-instant snapshot of every node, which alone keeps the rest state.
+per-instant snapshot, one `(x, y)` point per node, which alone keeps phase
+state: each node's current leg and whether it rests on it.
 
 A transmission schedules one `PACKET_ARRIVAL` whose payload is
 `(pkt, sender, receivers)`: a broadcast without jitter carries every
 receiver in id order, while a jittered broadcast and a unicast carry one
-receiver per event. Broadcast receivers share the one packet read-only,
+receiver per event. The engine hands a broadcast arrival's receivers to
+the protocol in one call, and a unicast's one receiver to its
+`on_packet`. Broadcast receivers share the one packet read-only,
 and a unicast hands its packet over to the receiver; code that changes a
 received broadcast copies it first with `clone`, which this module exports
 beside that rule.
@@ -20,7 +23,7 @@ beside that rule.
 import random
 from dataclasses import dataclass
 from enum import Enum
-from math import hypot, inf
+from math import dist, inf
 
 from .core import PACKET_ARRIVAL, SimTime, Simulator, us
 from .mobility import WaypointTrace
@@ -51,15 +54,18 @@ class Radio:
     and `jitter_max_s` (per-receiver uniform jitter in [0, jitter_max_s]).
     `traces[node]` gives each node's motion: a unicast reads the traces of
     the two nodes it joins, and a broadcast reads every node through the
-    snapshot `coords_at`.
+    snapshot `coords_at`, one `(x, y)` point per node.
 
-    Only the snapshot tracks which nodes rest. A resting node's coordinates
-    are its leg's end point, the floats its trace returns for the whole
-    rest, so they are written once per rest and the per-instant refresh
-    reads only the moving traces. A resting sender keeps the sorted list of
-    its resting neighbors until any node starts or ends a rest, and scans
-    only the moving nodes on top. Every verdict is the same
-    `hypot(...) <= range` on the same floats as a scan of all nodes.
+    Only the snapshot keeps phase state: per node, the leg it is on and
+    whether it rests, re-read from its trace when that phase ends. A
+    resting node's point is its leg's end point, written once per rest,
+    and the per-instant refresh interpolates each moving node on its
+    stored leg with the trace's own arithmetic, so every point is the
+    floats `WaypointTrace.coords_at` returns. A resting sender keeps the
+    sorted list of its resting neighbors until any node starts or ends a
+    rest, and scans only the moving nodes on top. Every verdict is
+    `math.dist(here, p) <= range`, the same float as `geometry.dist`
+    (`hypot` of the differences) on the same points as a scan of all nodes.
     """
 
     def __init__(self, scenario: Scenario, traces: list[WaypointTrace],
@@ -76,17 +82,18 @@ class Radio:
         self._delay_cache: dict[int, int] = {}
         n = len(traces)
         self._coords_t: SimTime = -1
-        self._xs = [0.0] * n
-        self._ys = [0.0] * n
-        # Rest state, O(n): per node whether it rests and until when that
-        # holds (`WaypointTrace.phase_at`). It all holds for every t in
-        # [_phase_from, _phase_until); empty until the first query.
+        self._points: list[tuple[float, float]] = [(0.0, 0.0)] * n
+        # Phase state, O(n): per node whether it rests, until when that
+        # holds and the leg it is on (`WaypointTrace.phase_at`). It all
+        # holds for every t in [_phase_from, _phase_until); empty until the
+        # first query.
         self._rests = [False] * n
         self._until = [0] * n
+        self._legs: list[tuple] = [()] * n
         self._phase_from: SimTime | float = inf
         self._phase_until: SimTime | float = inf
         self._resting: list[int] = []
-        self._moving: list[tuple[int, WaypointTrace]] = []
+        self._moving: list[tuple[int, tuple]] = []  # (node, leg), id order
         # Per resting node, its resting neighbors in id order, or None until
         # asked; cleared whenever a node starts or ends a rest.
         self._near: list[list[int] | None] = [None] * n
@@ -100,63 +107,65 @@ class Radio:
         return cached
 
     def _track_phases(self, t: SimTime) -> None:
-        """Bring the rest state to t. Going forward, only the nodes whose
+        """Bring the phase state to t. Going forward, only the nodes whose
         phase has ended by t are read again; going back, every node is."""
         back = t < self._phase_from
         # An error part way (t outside the traces) leaves the state empty;
-        # rest coordinates written for t void the snapshot of another instant.
+        # rest points written for t void the snapshot of another instant.
         self._phase_from = self._phase_until = inf
         self._coords_t = -1
-        rests, until, xs, ys = self._rests, self._until, self._xs, self._ys
+        rests, until, legs, points = self._rests, self._until, self._legs, self._points
         changed = back
         for node, trace in enumerate(self._traces):
             if back or until[node] <= t:
-                resting, until[node] = trace.phase_at(t)
+                resting, until[node], leg = trace.phase_at(t)
+                # A moving node may go straight onto another leg (no pause,
+                # or a jump), so its leg is stored whatever its rest does.
+                legs[node] = leg
                 if resting or rests[node]:  # a rest starts, ends or jumps
                     changed = True
                     rests[node] = resting
                     if resting:
-                        xs[node], ys[node] = trace.coords_at(t)
+                        points[node] = (leg[4], leg[5])
+        n = len(legs)
         if changed:
-            traces = self._traces
-            self._resting = [node for node in range(len(traces)) if rests[node]]
-            self._moving = [(node, trace) for node, trace in enumerate(traces)
-                            if not rests[node]]
-            self._near = [None] * len(traces)
+            self._resting = [node for node in range(n) if rests[node]]
+            self._near = [None] * n
+        self._moving = [(node, legs[node]) for node in range(n) if not rests[node]]
         self._phase_from = t
         self._phase_until = min(until, default=inf)
 
-    def coords_at(self, t: SimTime) -> tuple[list[float], list[float]]:
-        """Every node's coordinates at t as flat x and y lists indexed by node,
-        filled once per instant: all broadcasts at one instant share them."""
+    def coords_at(self, t: SimTime) -> list[tuple[float, float]]:
+        """Every node's (x, y) at t in a list indexed by node, filled once
+        per instant: all broadcasts at one instant share it."""
         if t != self._coords_t:
             if not self._phase_from <= t < self._phase_until:
                 self._track_phases(t)
-            xs, ys = self._xs, self._ys
-            for node, trace in self._moving:
-                xs[node], ys[node] = trace.coords_at(t)
+            points = self._points
+            # WaypointTrace.coords_at on a leg it moves along, written out
+            for node, (depart, arrive, sx, sy, ex, ey) in self._moving:
+                frac = (t - depart) / (arrive - depart)
+                points[node] = (sx + frac * (ex - sx), sy + frac * (ey - sy))
             self._coords_t = t
-        return self._xs, self._ys
+        return self._points
 
     def neighbors(self, node: int, t: SimTime) -> list[int]:
         """Node ids within radio range at time t, boundary inclusive, sorted."""
-        xs, ys = self.coords_at(t)
-        hx = xs[node]
-        hy = ys[node]
+        points = self.coords_at(t)
+        here = points[node]
         rng = self._range
-        # hypot(here - other) is exactly geometry.dist(here, other).
+        # dist(here, p) is exactly geometry.dist(here, p).
         if self._rests[node]:
             near = self._near[node]
             if near is None:
                 near = [other for other in self._resting
-                        if hypot(hx - xs[other], hy - ys[other]) <= rng
-                        and other != node]
+                        if dist(here, points[other]) <= rng and other != node]
                 self._near[node] = near
             # two sorted runs: sorted() merges them in one pass
             return sorted(near + [other for other, _ in self._moving
-                                  if hypot(hx - xs[other], hy - ys[other]) <= rng])
-        return [other for other, (x, y) in enumerate(zip(xs, ys))
-                if hypot(hx - x, hy - y) <= rng and other != node]
+                                  if dist(here, points[other]) <= rng])
+        return [other for other, p in enumerate(points)
+                if dist(here, p) <= rng and other != node]
 
     def _jitter_draw(self) -> SimTime:
         return us(self._jitter.uniform(0.0, self._jitter_max_s))
@@ -184,10 +193,9 @@ class Radio:
         t = self._sim.now
         self._metrics.record_transmission(pkt.kind)
         traces = self._traces
-        sx, sy = traces[sender].coords_at(t)
-        rx, ry = traces[next_hop].coords_at(t)
-        # hypot(sender - receiver) is exactly geometry.dist(sender, receiver).
-        if hypot(sx - rx, sy - ry) > self._range:
+        # dist(sender, receiver) is exactly geometry.dist(sender, receiver).
+        if dist(traces[sender].coords_at(t),
+                traces[next_hop].coords_at(t)) > self._range:
             return LINK_FAILURE
         rt = t + self.tx_delay_us(pkt.size_bytes) + self._proc_us
         if self._jitter_us > 0:

@@ -79,12 +79,12 @@ def test_duplicate_rreq_ignored_and_reverse_path_kept():
     rreq = Packet(uid=90, kind=PacketKind.RREQ, origin=0, final_dst=9,
                   created_at=0, ttl=32, size_bytes=64,
                   aodv=AodvHeader(rreq_id=1, origin_seq=5, dst_seq=0, hop_count=1))
-    node.on_packet(rreq, sender=1)
+    engine.hear(engine, rreq, 1, (2,))
     first = node.core.table.get(0)
     assert first.next_hop == 1 and first.hop_count == 2
     assert tx["rreq"] == 1  # no route to 9 here: the first copy is relayed
     dup = clone(rreq)
-    node.on_packet(dup, sender=3)  # same flood via another neighbor
+    engine.hear(engine, dup, 3, (2,))  # same flood via another neighbor
     assert tx["rreq"] == 1, "a repeat of a seen flood must not be relayed"
     again = node.core.table.get(0)
     assert again.next_hop == 1, "reverse path must stick with the first copy"
@@ -110,7 +110,7 @@ def test_rerr_adopts_higher_seq_and_bumps_lower():
     rerr = Packet(uid=92, kind=PacketKind.RERR, origin=2, final_dst=-1,
                   created_at=0, ttl=32, size_bytes=64,
                   rerr_dsts=((3, 15), (2, 4), (0, 9)))
-    node.on_packet(rerr, sender=2)
+    engine.hear(engine, rerr, 2, (1,))
     assert not table.get(3).active and table.get(3).dst_seq == 15
     assert not table.get(2).active and table.get(2).dst_seq == 8
     # a route through another neighbor is not the reporter's to break
@@ -361,7 +361,7 @@ def test_copy_at_the_window_edge_is_still_suppressed():
     core.handle_rreq(rreq_from(origin=3, rreq_id=1, uid=91), sender=3)
     assert (0, 1) in core.seen
     relayed = engine.metrics.transmissions_by_kind["rreq"]
-    node.on_packet(clone(flood), sender=3)  # a copy at stamp + W
+    engine.hear(engine, clone(flood), 3, (2,))  # a copy at stamp + W
     assert engine.metrics.transmissions_by_kind["rreq"] == relayed
     assert core.table.get(0).next_hop == 1
     # One microsecond later the first flood is forgotten, the second kept.
@@ -401,17 +401,25 @@ def test_no_rreq_arrives_for_a_forgotten_flood(case, monkeypatch):
     # Nodes rest for the first 40 s, so most floods come after that.
     engine = Engine(stage1(protocol, 100.0, **overrides))
     late = []
-    for proto in engine.protocols:
-        def checked(pkt, sender, on_packet=proto.on_packet, node=proto.node):
-            if pkt.kind is PacketKind.RREQ and \
-                    (pkt.origin, pkt.aodv.rreq_id) in expired.get(node, ()):
-                late.append((node, pkt.origin, pkt.aodv.rreq_id, engine.sim.now))
-            on_packet(pkt, sender)
-        proto.on_packet = checked
+    receptions = 0
+    hear = engine.hear
+
+    def checked(engine_, pkt, sender, receivers):
+        nonlocal receptions
+        if pkt.kind is PacketKind.RREQ:
+            receptions += len(receivers)
+            key = (pkt.origin, pkt.aodv.rreq_id)
+            late.extend((node, *key, engine.sim.now) for node in receivers
+                        if key in expired.get(node, ()))
+        hear(engine_, pkt, sender, receivers)
+
+    engine.hear = checked
     engine.run()
     if case == "aodv-zero-window":
         assert engine.protocols[0].core._seen_window == 0
     assert sum(map(len, expired.values())) > 1000
+    # the check saw the floods: 26k to 126k copies over the cases
+    assert receptions > 20_000
     assert late == []
 
 
@@ -428,16 +436,19 @@ def test_only_first_sights_reach_handle_rreq(protocol, monkeypatch):
     engine = Engine(stage1(protocol, 60.0))
     received: dict[int, set[tuple[int, int]]] = {}
     receptions = 0
-    for proto in engine.protocols:
-        def recording(pkt, sender, on_packet=proto.on_packet, node=proto.node):
-            nonlocal receptions
-            if pkt.kind is PacketKind.RREQ:
-                receptions += 1
+    hear = engine.hear
+
+    def recording(engine_, pkt, sender, receivers):
+        nonlocal receptions
+        if pkt.kind is PacketKind.RREQ:
+            receptions += len(receivers)
+            for node in receivers:
                 if pkt.origin != node:
                     received.setdefault(node, set()).add(
                         (pkt.origin, pkt.aodv.rreq_id))
-            on_packet(pkt, sender)
-        proto.on_packet = recording
+        hear(engine_, pkt, sender, receivers)
+
+    engine.hear = recording
     engine.run()
     # Each node hands every flood it hears, but its own, to handle_rreq
     # once, at its first sight; the repeats, most receptions, never.

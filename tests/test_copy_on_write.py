@@ -6,7 +6,12 @@ broadcast without cloning it first, or a sender that changes a packet after
 sending it, would show the change to a receiver that has not run yet. This
 test runs whole protocols with checking wrappers: each send records a
 fingerprint of the packet (every field, headers included), and dispatch
-asserts that fingerprint before each receiver's `on_packet`.
+asserts that fingerprint before each receiver's turn: before a unicast's
+`on_packet`, and before each receiver of a broadcast, which the checking
+`hear` hands to the protocol's `hear` one receiver at a time, so a
+receiver that changes the shared packet is caught before the next one
+hears it. The same wrappers check that a unicast kind (data, a route
+reply) only reaches `on_packet` and every other kind only `hear`.
 """
 
 import dataclasses
@@ -17,6 +22,7 @@ import pytest
 
 from manet_lab.core import EventKind
 from manet_lab.engine import Engine
+from manet_lab.packets import PacketKind
 from manet_lab.scenario import load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -75,19 +81,36 @@ def run_guarded(sc) -> int:
         finally:
             handed.pop()
 
+    def check(pkt, sender, node):
+        assert fingerprint(pkt) == handed[-1], (
+            f"{pkt.kind.value} uid {pkt.uid} from {sender} changed between "
+            f"its send and node {node}'s reception")
+        checked[0] += 1
+
+    # Each kind has one receive path: a unicast kind reaches `on_packet`,
+    # a broadcast kind the protocol's `hear`.
+    unicast_kinds = {PacketKind.DATA, PacketKind.RREP}
+
     def checking(node, on_packet):
         def on_packet_checked(pkt, sender):
-            assert fingerprint(pkt) == handed[-1], (
-                f"{pkt.kind.value} uid {pkt.uid} from {sender} changed between "
-                f"its send and node {node}'s reception")
-            checked[0] += 1
+            assert pkt.kind in unicast_kinds, pkt.kind
+            check(pkt, sender, node)
             return on_packet(pkt, sender)
         return on_packet_checked
+
+    hear = engine.hear
+
+    def hear_checked(engine_, pkt, sender, receivers):
+        assert pkt.kind not in unicast_kinds, pkt.kind
+        for node in receivers:
+            check(pkt, sender, node)
+            hear(engine_, pkt, sender, (node,))
 
     radio.broadcast = recording(radio.broadcast)
     radio.unicast = recording(radio.unicast)
     sim.schedule = tagging_schedule
     sim.handler = checking_dispatch
+    engine.hear = hear_checked
     for node, proto in enumerate(engine.protocols):
         proto.on_packet = checking(node, proto.on_packet)
     engine.run()

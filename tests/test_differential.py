@@ -8,9 +8,12 @@ the same row, `transmissions_by_kind`, `diagnostics`, flood log and hop
 log. The twins drop every shortcut:
 
 - `PlainRadio` reads every node's `position_at` on every broadcast (no
-  per-instant snapshot, no rest state, no resting-neighbor lists) and
-  schedules one arrival per receiver, each with its own `clone` of the
-  packet (no shared read-only packet);
+  per-instant snapshot, no rest state, no moving node interpolated on a
+  leg the radio stored, no resting-neighbor lists, `dist` of Positions in
+  place of `math.dist` of tuples) and schedules one arrival per receiver,
+  each with its own `clone` of the packet (no shared read-only packet),
+  so each broadcast reception is its own call to the protocol's `hear`
+  (no batched hearing of all receivers in one call);
 - each geographic node gets a neighbor table whose `fresh` always purges
   and sorts, and a `planar_view` that always runs `planarize_gg`;
 - each reactive core gets a `seen` window of infinity, so it never

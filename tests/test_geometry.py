@@ -27,6 +27,32 @@ def test_dist_symmetry_random_pairs():
         assert dist(a, b) == dist(b, a)
 
 
+def test_math_dist_is_hypot_of_differences_bit_for_bit():
+    # The radio tests range with math.dist on (x, y) tuples, the protocols
+    # with hypot of the coordinate differences; both must be one float.
+    def both(p, q):
+        return math.dist(p, q).hex(), math.hypot(p[0] - q[0], p[1] - q[1]).hex()
+
+    rng = random.Random(250)
+    pairs = [((rng.uniform(0, 1000), rng.uniform(0, 1000)),
+              (rng.uniform(0, 1000), rng.uniform(0, 1000))) for _ in range(100_000)]
+    for _ in range(2_000):  # about 250 m apart, and 250.0 exactly
+        x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+        a = rng.uniform(0, 2 * math.pi)
+        pairs.append(((x, y), (x + 250.0 * math.cos(a), y + 250.0 * math.sin(a))))
+        pairs += [((x, y), (x + dx, y + dy))
+                  for dx, dy in ((250.0, 0.0), (0.0, -250.0), (150.0, 200.0),
+                                 (-70.0, 240.0))]
+    pairs += [((0.0, 0.0), (250.0, 0.0)), ((0.0, 0.0), (150.0, 200.0))]
+    for x in (0.0, -0.0, 1e-310, 5e-324, 1e-150, 123.456, 1e150, 1e300, 1.7e308):
+        pairs += [((x, x), (x, x)), ((x, -x), (-x, x)), ((x, 0.0), (0.0, x)),
+                  ((x, 1.0), (1.0, x)), ((3 * x, 4 * x), (0.0, 0.0))]
+    for p, q in pairs:
+        got, want = both(p, q)
+        assert got == want, (p, q)
+    assert math.dist((0.0, 0.0), (150.0, 200.0)) == 250.0
+
+
 def test_ccw_angle_west_arrival_north_candidate():
     # Arriving from due west means the continuation points east (angle zero);
     # a candidate due north sits a quarter turn counterclockwise.

@@ -151,9 +151,9 @@ def test_snapshot_equals_position_at_exactly(pause_s):
     order = forwards + forwards[::-1] + shuffled
     order = [t for t in order for _ in (0, 1)]  # each query twice in a row
     for t in order:
-        xs, ys = engine.radio.coords_at(t)
+        points = engine.radio.coords_at(t)
         for node, trace in enumerate(traces):
             expected = bisect_position(trace, t)
-            assert (xs[node], ys[node]) == (expected.x, expected.y)
+            assert points[node] == (expected.x, expected.y)
             assert position_at(trace, t) == expected
             assert engine.position_at_time(node, t) == expected

@@ -283,8 +283,7 @@ def assert_radio_matches_scan(traces, instants, unicast_every=1):
         unicasts = i % unicast_every == 0
         if unicasts and i % 2:
             assert_unicast_verdicts(radio, near, pkt)
-        xs, ys = radio.coords_at(t)
-        assert list(zip(xs, ys)) == [(p.x, p.y) for p in here], t
+        assert radio.coords_at(t) == [(p.x, p.y) for p in here], t
         for a in range(n):
             assert radio.neighbors(a, t) == near[a], (t, a)
         if unicasts and not i % 2:
@@ -366,7 +365,8 @@ def test_rest_tracking_equals_scan_on_hand_built_traces():
     assert position_at(traces[3], us(2.0) - 1) == Position(900.0, 900.0)
     assert position_at(traces[3], us(2.0)) == Position(450.0, 600.0)
     assert traces[5].phase_at(duration - 1)[0] is False
-    assert traces[5].phase_at(duration) == (True, duration + 1)
+    assert traces[5].phase_at(duration) == (
+        True, duration + 1, (0, duration, 100.0, 100.0, 1000.0, 100.0))
     picker = random.Random(3)
     instants = phase_instants(traces, picker, n_random=50)
     assert_radio_matches_scan(traces, query_orders(instants, picker))
@@ -402,7 +402,56 @@ def test_unicast_ahead_of_the_snapshot_leaves_it_exact():
                   rng_stream(1, "jitter"))
     before = us(5.0) - 1
     expected = [tuple(position_at(trace, before)) for trace in traces]
-    assert list(zip(*radio.coords_at(before))) == expected
+    assert radio.coords_at(before) == expected
     clock.now = us(5.0)
     assert radio.unicast(0, 4, data_packet()).status is TxStatus.DELIVERED
-    assert list(zip(*radio.coords_at(before))) == expected
+    assert radio.coords_at(before) == expected
+
+
+# -- moving nodes interpolated on their stored legs --------------------------
+
+def leg_switch_traces():
+    """Four nodes over 10 s whose legs change while they move, with no rest
+    between the legs.
+
+    Node 0 turns a corner at 4 s: its second leg departs from where the
+    first arrives. Node 1 jumps at 4 s: its second leg departs from
+    another point the instant its first arrives. Node 2 jumps at 3 s + 7 us
+    in the middle of its first leg, which would arrive at 9 s. Node 3
+    rests throughout, so a rest is tracked beside the moving nodes."""
+    from manet_lab.mobility import Leg, WaypointTrace
+    P = Position
+    switch, early = us(4.0), us(3.0) + 7
+    legs = [
+        [Leg(0, P(100.0, 100.0), P(700.0, 100.0), switch),
+         Leg(switch, P(700.0, 100.0), P(700.0, 900.0), us(10.0))],
+        [Leg(0, P(0.0, 300.0), P(400.0, 700.0), switch),
+         Leg(switch, P(900.0, 0.0), P(200.0, 200.0), us(10.0))],
+        [Leg(0, P(333.3, 10.0), P(10.0, 777.7), us(9.0)),
+         Leg(early, P(500.0, 500.0), P(0.1, 999.9), us(10.0))],
+        [Leg(0, P(450.0, 450.0), P(450.0, 450.0), 0)],
+    ]
+    return [WaypointTrace(us(10.0), node_legs) for node_legs in legs], (switch, early)
+
+
+def bits(point):
+    return tuple(c.hex() for c in point)
+
+
+def test_moving_nodes_switch_legs_exactly():
+    import random
+    traces, switches = leg_switch_traces()
+    # no rest between the legs: each of nodes 0-2 moves on both sides
+    for t in switches:
+        for trace in traces[:3]:
+            assert trace.phase_at(t - 1)[0] is False
+            assert trace.phase_at(t)[0] is False
+    instants = sorted({s + d for s in switches for d in range(-3, 4)})
+    picker = random.Random(7)
+    radio = Radio(Scenario(n_nodes=len(traces)), traces, FrozenClock(), RunMetrics(),
+                  rng_stream(1, "jitter"))
+    for t in query_orders(instants, picker):
+        points = radio.coords_at(t)
+        assert [bits(p) for p in points] == \
+            [bits(trace.coords_at(t)) for trace in traces], t
+
